@@ -8,17 +8,11 @@
 namespace microscale
 {
 
-namespace
-{
-
 void
-checkCpu(CpuId cpu)
+CpuMask::outOfRange(CpuId cpu)
 {
-    if (cpu >= kMaxCpus)
-        MS_PANIC("CpuMask: cpu id ", cpu, " out of range");
+    MS_PANIC("CpuMask: cpu id ", cpu, " out of range");
 }
-
-} // namespace
 
 CpuMask
 CpuMask::single(CpuId cpu)
@@ -45,28 +39,6 @@ CpuMask::firstN(CpuId count)
     return range(0, count - 1);
 }
 
-void
-CpuMask::set(CpuId cpu)
-{
-    checkCpu(cpu);
-    words_[cpu / 64] |= std::uint64_t(1) << (cpu % 64);
-}
-
-void
-CpuMask::clear(CpuId cpu)
-{
-    checkCpu(cpu);
-    words_[cpu / 64] &= ~(std::uint64_t(1) << (cpu % 64));
-}
-
-bool
-CpuMask::test(CpuId cpu) const
-{
-    if (cpu >= kMaxCpus)
-        return false;
-    return (words_[cpu / 64] >> (cpu % 64)) & 1;
-}
-
 bool
 CpuMask::empty() const
 {
@@ -84,33 +56,6 @@ CpuMask::count() const
     for (auto w : words_)
         n += std::popcount(w);
     return n;
-}
-
-CpuId
-CpuMask::first() const
-{
-    for (unsigned i = 0; i < kWords; ++i) {
-        if (words_[i])
-            return i * 64 + std::countr_zero(words_[i]);
-    }
-    return kInvalidCpu;
-}
-
-CpuId
-CpuMask::next(CpuId cpu) const
-{
-    if (cpu == kInvalidCpu || cpu + 1 >= kMaxCpus)
-        return kInvalidCpu;
-    CpuId start = cpu + 1;
-    unsigned word = start / 64;
-    std::uint64_t w = words_[word] >> (start % 64);
-    if (w)
-        return start + std::countr_zero(w);
-    for (unsigned i = word + 1; i < kWords; ++i) {
-        if (words_[i])
-            return i * 64 + std::countr_zero(words_[i]);
-    }
-    return kInvalidCpu;
 }
 
 CpuMask

@@ -10,6 +10,7 @@
 #define MICROSCALE_BASE_CPUMASK_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -41,11 +42,24 @@ class CpuMask
     static CpuMask firstN(CpuId count);
 
     /** Add a CPU. */
-    void set(CpuId cpu);
+    void set(CpuId cpu)
+    {
+        checkCpu(cpu);
+        words_[cpu / 64] |= std::uint64_t(1) << (cpu % 64);
+    }
     /** Remove a CPU. */
-    void clear(CpuId cpu);
+    void clear(CpuId cpu)
+    {
+        checkCpu(cpu);
+        words_[cpu / 64] &= ~(std::uint64_t(1) << (cpu % 64));
+    }
     /** Membership test. */
-    bool test(CpuId cpu) const;
+    bool test(CpuId cpu) const
+    {
+        if (cpu >= kMaxCpus)
+            return false;
+        return (words_[cpu / 64] >> (cpu % 64)) & 1;
+    }
 
     /** True when no CPU is set. */
     bool empty() const;
@@ -53,9 +67,18 @@ class CpuMask
     unsigned count() const;
 
     /** Lowest CPU set, or kInvalidCpu when empty. */
-    CpuId first() const;
+    CpuId first() const { return scanFrom(0); }
     /** Lowest CPU set that is > `cpu`, or kInvalidCpu. */
-    CpuId next(CpuId cpu) const;
+    CpuId next(CpuId cpu) const
+    {
+        if (cpu == kInvalidCpu || cpu + 1 >= kMaxCpus)
+            return kInvalidCpu;
+        const CpuId start = cpu + 1;
+        const std::uint64_t w = words_[start / 64] >> (start % 64);
+        if (w)
+            return start + std::countr_zero(w);
+        return scanFrom(start / 64 + 1);
+    }
 
     /** Set union. */
     CpuMask operator|(const CpuMask &o) const;
@@ -100,6 +123,25 @@ class CpuMask
 
   private:
     static constexpr unsigned kWords = kMaxCpus / 64;
+
+    /** Panics on ids >= kMaxCpus. */
+    static void checkCpu(CpuId cpu)
+    {
+        if (cpu >= kMaxCpus)
+            outOfRange(cpu);
+    }
+    [[noreturn]] static void outOfRange(CpuId cpu);
+
+    /** Lowest CPU set in words [word, kWords), or kInvalidCpu. */
+    CpuId scanFrom(unsigned word) const
+    {
+        for (unsigned i = word; i < kWords; ++i) {
+            if (words_[i])
+                return i * 64 + std::countr_zero(words_[i]);
+        }
+        return kInvalidCpu;
+    }
+
     std::array<std::uint64_t, kWords> words_;
 };
 

@@ -20,11 +20,15 @@ ExecEngine::ExecEngine(sim::Simulation &sim, const topo::Machine &machine,
       machine_(machine),
       params_(params),
       running_(machine.numCpus(), nullptr),
+      running_profile_(machine.numCpus(), nullptr),
+      ccx_nprofiles_(machine.numCcxs(), 0),
+      cpus_per_ccx_(machine.coresPerCcx() * machine.threadsPerCore()),
       core_busy_(machine.numCores(), 0),
       active_cores_(machine.numSockets(), 0),
       socket_freq_ghz_(machine.numSockets(), 0.0),
       cpu_busy_ns_(machine.numCpus(), 0.0)
 {
+    ccx_profiles_.resize(machine.numCcxs() * cpus_per_ccx_, nullptr);
     for (SocketId s = 0; s < machine_.numSockets(); ++s)
         updateSocketFreq(s);
 }
@@ -53,6 +57,27 @@ ExecEngine::siblingBusy(CpuId cpu) const
     return sib != kInvalidCpu && running_[sib] != nullptr;
 }
 
+void
+ExecEngine::refreshCcxProfiles(CcxId ccx)
+{
+    const WorkProfile **list = &ccx_profiles_[ccx * cpus_per_ccx_];
+    unsigned n = 0;
+    for (CpuId c : machine_.cpuListOfCcx(ccx)) {
+        const WorkProfile *q = running_profile_[c];
+        if (q && std::find(list, list + n, q) == list + n)
+            list[n++] = q;
+    }
+    ccx_nprofiles_[ccx] = n;
+}
+
+bool
+ExecEngine::profileRunsOn(const WorkProfile *profile, CcxId ccx) const
+{
+    const WorkProfile *const *list = &ccx_profiles_[ccx * cpus_per_ccx_];
+    const WorkProfile *const *end = list + ccx_nprofiles_[ccx];
+    return std::find(list, end, profile) != end;
+}
+
 double
 ExecEngine::missRatio(const ExecContext &ctx, CcxId ccx, bool cold) const
 {
@@ -65,26 +90,14 @@ ExecEngine::missRatio(const ExecContext &ctx, CcxId ccx, bool cold) const
     // footprint counts once no matter how many of its threads run
     // here. This is the mechanism that rewards same-service CCX
     // affinity and punishes the default scheduler's service mixing.
-    double wss_sum = p.wssBytes; // self's profile, counted once
-    const WorkProfile *seen[16] = {&p};
-    unsigned n_seen = 1;
-    for (CpuId c : machine_.cpusOfCcx(ccx)) {
-        const ExecContext *r = running_[c];
-        if (!r)
-            continue;
-        const WorkProfile *q = r->profile_;
-        bool dup = false;
-        for (unsigned i = 0; i < n_seen; ++i) {
-            if (seen[i] == q) {
-                dup = true;
-                break;
-            }
-        }
-        if (!dup) {
-            if (n_seen < 16)
-                seen[n_seen++] = q;
-            wss_sum += q->wssBytes;
-        }
+    // Self's profile comes first, then the others in ascending-CPU
+    // first-appearance order; the summation order is part of the
+    // result's bits.
+    double wss_sum = p.wssBytes;
+    const WorkProfile *const *list = &ccx_profiles_[ccx * cpus_per_ccx_];
+    for (unsigned i = 0; i < ccx_nprofiles_[ccx]; ++i) {
+        if (list[i] != &p)
+            wss_sum += list[i]->wssBytes;
     }
 
     const double l3 =
@@ -101,15 +114,12 @@ ExecEngine::missRatio(const ExecContext &ctx, CcxId ccx, bool cold) const
 
 double
 ExecEngine::computeRate(const ExecContext &ctx, CpuId cpu,
-                        bool sibling_busy) const
+                        bool sibling_busy, double miss) const
 {
     const WorkProfile &p = *ctx.profile_;
     const auto &cache = machine_.params().cache;
     const SocketId socket = machine_.socketOf(cpu);
     const double freq = socket_freq_ghz_[socket]; // cycles per ns
-
-    const bool cold = ctx.cold_accesses_left_ > 0.0;
-    const double miss = missRatio(ctx, machine_.ccxOf(cpu), cold);
 
     NodeId home = ctx.homeNode();
     if (home == kInvalidNode)
@@ -145,7 +155,9 @@ ExecEngine::rateOn(const ExecContext &ctx, CpuId cpu) const
     const CpuId sib = machine_.siblingOf(cpu);
     if (sib != kInvalidCpu && running_[sib] == &ctx)
         sibling = false;
-    return computeRate(ctx, cpu, sibling);
+    const bool cold = ctx.cold_accesses_left_ > 0.0;
+    return computeRate(ctx, cpu, sibling,
+                       missRatio(ctx, machine_.ccxOf(cpu), cold));
 }
 
 double
@@ -217,8 +229,8 @@ ExecEngine::reprice(ExecContext &ctx)
     ctx.sibling_busy_ = siblingBusy(ctx.cpu_);
     const bool cold = ctx.cold_accesses_left_ > 0.0;
     ctx.miss_ratio_ = missRatio(ctx, machine_.ccxOf(ctx.cpu_), cold);
-    ctx.rate_ = computeRate(ctx, ctx.cpu_, ctx.sibling_busy_);
-    ctx.completion_.cancel();
+    ctx.rate_ =
+        computeRate(ctx, ctx.cpu_, ctx.sibling_busy_, ctx.miss_ratio_);
     Tick delay = 1;
     if (ctx.remaining_ > 0.0) {
         if (ctx.rate_ <= 0.0)
@@ -238,14 +250,19 @@ ExecEngine::reprice(ExecContext &ctx)
             }
         }
     }
-    ctx.completion_ =
-        sim_.scheduleAfter(delay, [this, &ctx] { complete(ctx); });
+    // Re-keying the pending completion in place fires it where cancel
+    // + schedule would; a context without one (just started, or woken
+    // early by its own completion) gets a fresh event.
+    const Tick when = sim_.now() + delay;
+    if (!sim_.rescheduleAt(ctx.completion_, when))
+        ctx.completion_ =
+            sim_.scheduleAt(when, [this, &ctx] { complete(ctx); });
 }
 
 void
 ExecEngine::repriceCcx(CcxId ccx)
 {
-    for (CpuId c : machine_.cpusOfCcx(ccx)) {
+    for (CpuId c : machine_.cpuListOfCcx(ccx)) {
         if (running_[c])
             reprice(*running_[c]);
     }
@@ -254,7 +271,7 @@ ExecEngine::repriceCcx(CcxId ccx)
 void
 ExecEngine::repriceSocket(SocketId socket)
 {
-    for (CpuId c : machine_.cpusOfSocket(socket)) {
+    for (CpuId c : machine_.cpuListOfSocket(socket)) {
         if (running_[c])
             reprice(*running_[c]);
     }
@@ -281,15 +298,7 @@ ExecEngine::startRun(ExecContext &ctx, CpuId cpu)
             // Refill the private hot set; if a same-service thread is
             // already running here, the shared footprint is warm and
             // the move is nearly free.
-            bool shared_warm = false;
-            for (CpuId c : machine_.cpusOfCcx(ccx)) {
-                const ExecContext *r = running_[c];
-                if (r && r->profile_ == ctx.profile_) {
-                    shared_warm = true;
-                    break;
-                }
-            }
-            if (!shared_warm) {
+            if (!profileRunsOn(ctx.profile_, ccx)) {
                 ctx.cold_accesses_left_ =
                     std::min(ctx.profile_->wssBytes,
                              params_.coldRefillBytes) /
@@ -310,6 +319,8 @@ ExecEngine::startRun(ExecContext &ctx, CpuId cpu)
     const CoreId core = machine_.coreOf(cpu);
     const SocketId socket = machine_.socketOf(cpu);
     running_[cpu] = &ctx;
+    running_profile_[cpu] = ctx.profile_;
+    refreshCcxProfiles(ccx);
     if (core_busy_[core]++ == 0)
         ++active_cores_[socket];
 
@@ -337,6 +348,8 @@ ExecEngine::detach(ExecContext &ctx)
     const SocketId socket = machine_.socketOf(cpu);
 
     running_[cpu] = nullptr;
+    running_profile_[cpu] = nullptr;
+    refreshCcxProfiles(ccx);
     if (--core_busy_[core] == 0)
         --active_cores_[socket];
     ctx.cpu_ = kInvalidCpu;

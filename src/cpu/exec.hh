@@ -15,8 +15,10 @@
  *       + l3Apki/1000 * [ miss * memLatencyCycles(NUMA)
  *                       + (1-miss) * l3LatencyCycles ]
  * and the L3 miss ratio follows a proportional-share occupancy model
- * over the threads currently running on the same CCX, with a cold-cache
- * surcharge after cross-CCX migrations.
+ * over the distinct profiles currently running on the same CCX, with a
+ * cold-cache surcharge after cross-CCX migrations. The engine keeps
+ * that per-CCX set of distinct profiles up to date as threads start
+ * and stop, so a reprice reads it instead of scanning the CCX.
  *
  * Whenever conditions change (SMT sibling start/stop, CCX occupancy
  * change, socket frequency bucket crossing), affected contexts bank
@@ -220,9 +222,18 @@ class ExecEngine
     /** Detach from CPU and update occupancy (shared by stop/complete). */
     void detach(ExecContext &ctx);
 
+    /**
+     * Rebuild a CCX's distinct running profiles from its CPUs, in
+     * ascending-CPU first-appearance order.
+     */
+    void refreshCcxProfiles(CcxId ccx);
+
+    /** True when a context of `profile` runs somewhere on `ccx`. */
+    bool profileRunsOn(const WorkProfile *profile, CcxId ccx) const;
+
     double missRatio(const ExecContext &ctx, CcxId ccx, bool cold) const;
     double computeRate(const ExecContext &ctx, CpuId cpu,
-                       bool sibling_busy) const;
+                       bool sibling_busy, double miss) const;
     bool siblingBusy(CpuId cpu) const;
 
     /** Refresh socket frequency; returns true if it changed. */
@@ -233,6 +244,16 @@ class ExecEngine
     PerfModelParams params_;
 
     std::vector<ExecContext *> running_;  // per cpu
+    std::vector<const WorkProfile *> running_profile_; // per cpu
+    /**
+     * Distinct profiles running on each CCX, ascending-CPU
+     * first-appearance order: ccx_profiles_[ccx * cpus_per_ccx_ + i]
+     * for i < ccx_nprofiles_[ccx]. missRatio sums their working sets
+     * in this order, which is the order of a scan over the CCX's CPUs.
+     */
+    std::vector<const WorkProfile *> ccx_profiles_;
+    std::vector<unsigned> ccx_nprofiles_; // per ccx
+    unsigned cpus_per_ccx_;
     std::vector<unsigned> core_busy_;     // busy hw threads per core
     std::vector<unsigned> active_cores_;  // per socket
     std::vector<double> socket_freq_ghz_; // per socket (quantized)

@@ -20,7 +20,9 @@ Kernel::Kernel(sim::Simulation &sim, const topo::Machine &machine,
       on_cpu_(machine.numCpus(), nullptr),
       reserved_(machine.numCpus(), nullptr),
       last_ran_(machine.numCpus(), nullptr),
-      min_vruntime_(machine.numCpus(), 0.0)
+      min_vruntime_(machine.numCpus(), 0.0),
+      load_(machine.numCpus(), 0),
+      levels_{machine.allCpus()}
 {
 }
 
@@ -66,86 +68,59 @@ Kernel::stop()
     started_ = false;
 }
 
-bool
-Kernel::cpuIdle(CpuId cpu) const
+void
+Kernel::addLoad(CpuId cpu, int delta)
 {
-    return !engine_.runningOn(cpu) && !reserved_[cpu] && rq_[cpu].empty();
-}
-
-unsigned
-Kernel::cpuLoad(CpuId cpu) const
-{
-    unsigned load = static_cast<unsigned>(rq_[cpu].size());
-    if (engine_.runningOn(cpu) || reserved_[cpu])
-        ++load;
-    return load;
+    levels_[load_[cpu]].clear(cpu);
+    load_[cpu] += delta;
+    if (load_[cpu] == levels_.size())
+        levels_.emplace_back();
+    levels_[load_[cpu]].set(cpu);
 }
 
 CpuId
 Kernel::findIdleIn(const CpuMask &mask) const
 {
+    const CpuMask &idle = levels_[0];
+    const CpuMask candidates = mask & idle;
     // First pass: a fully idle core (both hardware threads free), which
     // is what select_idle_core prefers.
-    for (CpuId c : mask) {
-        if (!cpuIdle(c))
-            continue;
+    for (CpuId c : candidates) {
         const CpuId sib = machine_.siblingOf(c);
-        if (sib == kInvalidCpu || cpuIdle(sib))
+        if (sib == kInvalidCpu || idle.test(sib))
             return c;
     }
     // Second pass: any idle hardware thread.
-    for (CpuId c : mask) {
-        if (cpuIdle(c))
-            return c;
+    return candidates.first();
+}
+
+CpuId
+Kernel::leastLoadedIn(const CpuMask &mask, CpuId hint) const
+{
+    // The lowest level that meets the mask holds the least-loaded CPUs.
+    for (const CpuMask &level : levels_) {
+        if (!level.intersects(mask))
+            continue;
+        const CpuMask best = level & mask;
+        if (mask.test(hint)) {
+            const CpuId after = best.next(hint);
+            if (after != kInvalidCpu)
+                return after;
+        }
+        return best.first();
     }
     return kInvalidCpu;
 }
-
-namespace
-{
-
-/** Least-loaded CPU in `mask`, scanning from `hint`+1 with wraparound. */
-CpuId
-leastLoadedFrom(const CpuMask &mask, CpuId hint,
-                const std::function<unsigned(CpuId)> &load)
-{
-    CpuId best = kInvalidCpu;
-    unsigned best_load = std::numeric_limits<unsigned>::max();
-    // Two sweeps emulate a circular scan starting after the hint.
-    auto consider = [&](CpuId c) {
-        const unsigned l = load(c);
-        if (l < best_load) {
-            best_load = l;
-            best = c;
-        }
-    };
-    bool past_hint = hint == kInvalidCpu;
-    for (CpuId c : mask) {
-        if (past_hint)
-            consider(c);
-        if (c == hint)
-            past_hint = true;
-    }
-    for (CpuId c : mask) {
-        consider(c);
-        if (c == hint)
-            break;
-    }
-    return best;
-}
-
-} // namespace
 
 CpuId
 Kernel::selectCpu(Thread *t)
 {
     const CpuMask &allowed = t->affinity();
     const CpuId prev = t->ec().lastCpu();
-    auto load = [this](CpuId c) { return cpuLoad(c); };
 
     if (prev == kInvalidCpu) {
         // Fork/exec balancing: place on the least-loaded allowed CPU.
-        return leastLoadedFrom(allowed, kInvalidCpu, load);
+        return leastLoadedIn(allowed, kInvalidCpu);
     }
 
     // 1. The previous CPU, if it is idle and still allowed.
@@ -173,17 +148,17 @@ Kernel::selectCpu(Thread *t)
 
     // 5. Nothing idle: least-loaded queue, preferring the local CCX.
     if (!ccx_mask.empty()) {
-        const CpuId local = leastLoadedFrom(ccx_mask, prev, load);
+        const CpuId local = leastLoadedIn(ccx_mask, prev);
         // Only stay local when the local queues are not clearly worse
         // than the best queue anywhere.
-        const CpuId global = leastLoadedFrom(allowed, prev, load);
+        const CpuId global = leastLoadedIn(allowed, prev);
         if (local != kInvalidCpu &&
             cpuLoad(local) <= cpuLoad(global) + 1) {
             return local;
         }
         return global;
     }
-    return leastLoadedFrom(allowed, prev, load);
+    return leastLoadedIn(allowed, prev);
 }
 
 void
@@ -195,6 +170,7 @@ Kernel::enqueue(Thread *t, CpuId cpu)
     t->rq_cpu_ = cpu;
     t->vruntime_ = std::max(t->vruntime_, min_vruntime_[cpu]);
     rq_[cpu].push_back(t);
+    addLoad(cpu, +1);
 }
 
 Thread *
@@ -210,6 +186,7 @@ Kernel::dequeueNext(CpuId cpu)
     }
     Thread *t = *best;
     q.erase(best);
+    addLoad(cpu, -1);
     t->rq_cpu_ = kInvalidCpu;
     return t;
 }
@@ -224,6 +201,7 @@ Kernel::removeFromQueue(Thread *t)
     if (it == q.end())
         MS_PANIC("thread ", t->name(), " missing from its run queue");
     q.erase(it);
+    addLoad(t->rq_cpu_, -1);
     t->rq_cpu_ = kInvalidCpu;
 }
 
@@ -285,6 +263,9 @@ Kernel::dispatch(Thread *t, CpuId cpu)
     }
     t->state_ = Thread::State::Running;
     min_vruntime_[cpu] = std::max(min_vruntime_[cpu], t->vruntime_);
+    // Busy from here (running, or reserved through the switch) until
+    // the thread completes or is preempted.
+    addLoad(cpu, +1);
 
     const CpuId prev = t->ec().lastCpu();
     if (prev != kInvalidCpu && prev != cpu) {
@@ -325,6 +306,7 @@ Kernel::onWorkComplete(Thread *t)
         static_cast<double>(sim_.now() - t->last_dispatch_);
     t->state_ = Thread::State::Blocked;
     on_cpu_[cpu] = nullptr;
+    addLoad(cpu, -1);
     ++stats_.contextSwitches;
     ++t->ec().counters().contextSwitches;
 
@@ -347,6 +329,7 @@ Kernel::preempt(CpuId cpu)
     t->vruntime_ +=
         static_cast<double>(sim_.now() - t->last_dispatch_);
     on_cpu_[cpu] = nullptr;
+    addLoad(cpu, -1);
     t->state_ = Thread::State::Blocked; // transiently, for enqueue
     ++stats_.preemptions;
     ++stats_.contextSwitches;
@@ -432,13 +415,13 @@ bool
 Kernel::newIdlePull(CpuId cpu)
 {
     // Widening search: CCX, then node, then the whole machine.
-    const CpuMask domains[] = {
-        machine_.cpusOfCcx(machine_.ccxOf(cpu)),
-        machine_.cpusOfNode(machine_.nodeOf(cpu)),
-        machine_.allCpus(),
+    const CpuMask *domains[] = {
+        &machine_.cpusOfCcx(machine_.ccxOf(cpu)),
+        &machine_.cpusOfNode(machine_.nodeOf(cpu)),
+        &machine_.allCpus(),
     };
-    for (const CpuMask &d : domains) {
-        Thread *t = stealFrom(d, cpu);
+    for (const CpuMask *d : domains) {
+        Thread *t = stealFrom(*d, cpu);
         if (t) {
             ++stats_.newIdlePulls;
             enqueue(t, cpu);
@@ -455,13 +438,13 @@ Kernel::balancePass()
     for (CpuId cpu = 0; cpu < machine_.numCpus(); ++cpu) {
         if (!cpuIdle(cpu))
             continue;
-        const CpuMask domains[] = {
-            machine_.cpusOfCcx(machine_.ccxOf(cpu)),
-            machine_.cpusOfNode(machine_.nodeOf(cpu)),
-            machine_.allCpus(),
+        const CpuMask *domains[] = {
+            &machine_.cpusOfCcx(machine_.ccxOf(cpu)),
+            &machine_.cpusOfNode(machine_.nodeOf(cpu)),
+            &machine_.allCpus(),
         };
-        for (const CpuMask &d : domains) {
-            Thread *t = stealFrom(d, cpu);
+        for (const CpuMask *d : domains) {
+            Thread *t = stealFrom(*d, cpu);
             if (t) {
                 ++stats_.balancePulls;
                 enqueue(t, cpu);

@@ -110,6 +110,15 @@ class Kernel
     /** Runnable-but-waiting thread count (queue depth) on a CPU. */
     std::size_t queueDepth(CpuId cpu) const { return rq_[cpu].size(); }
 
+    /**
+     * Instantaneous load of a CPU: its running or mid-switch thread
+     * plus its queue depth.
+     */
+    unsigned cpuLoad(CpuId cpu) const { return load_[cpu]; }
+
+    /** True when the CPU has no running, reserved, or queued thread. */
+    bool cpuIdle(CpuId cpu) const { return load_[cpu] == 0; }
+
   private:
     friend class Thread;
 
@@ -122,14 +131,18 @@ class Kernel
     /** Wake placement: choose the CPU to enqueue a waking thread on. */
     CpuId selectCpu(Thread *t);
 
-    /** True when the CPU has no running, reserved, or queued thread. */
-    bool cpuIdle(CpuId cpu) const;
-
-    /** Instantaneous load: running (incl. reserved) + queued. */
-    unsigned cpuLoad(CpuId cpu) const;
-
     /** First idle allowed CPU in `mask`, preferring whole idle cores. */
     CpuId findIdleIn(const CpuMask &mask) const;
+
+    /**
+     * Least-loaded CPU in `mask`; ties go to the first one after
+     * `hint` in a circular ascending scan when `hint` is in the mask,
+     * otherwise to the lowest. kInvalidCpu when the mask is empty.
+     */
+    CpuId leastLoadedIn(const CpuMask &mask, CpuId hint) const;
+
+    /** Move `cpu` up or down one load level. */
+    void addLoad(CpuId cpu, int delta);
 
     void enqueue(Thread *t, CpuId cpu);
     Thread *dequeueNext(CpuId cpu);
@@ -171,6 +184,10 @@ class Kernel
     std::vector<Thread *> reserved_;       // mid-switch occupant per cpu
     std::vector<Thread *> last_ran_;       // previous occupant per cpu
     std::vector<double> min_vruntime_;     // per-cpu floor
+    /** Per-CPU cpuLoad(), kept up to date where it changes. */
+    std::vector<unsigned> load_;
+    /** levels_[k]: the CPUs whose load is exactly k. */
+    std::vector<CpuMask> levels_;
 
     sim::PeriodicEvent tick_;
     sim::PeriodicEvent balancer_;

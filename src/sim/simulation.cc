@@ -15,6 +15,7 @@ Simulation::allocSlot()
         return slot;
     }
     slots_.emplace_back();
+    heap_pos_.push_back(0);
     return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -62,46 +63,90 @@ Simulation::cancelEvent(std::uint32_t slot, std::uint32_t gen)
     maybeCompact();
 }
 
+bool
+Simulation::rescheduleAt(const EventHandle &handle, Tick when)
+{
+    if (!handle.sim_)
+        return false;
+    if (handle.sim_ != this)
+        MS_PANIC("rescheduleAt with another simulation's handle");
+    if (!handlePending(handle.slot_, handle.gen_))
+        return false;
+    if (when < now_)
+        MS_PANIC("rescheduling event into the past: ", when, " < ", now_);
+    slots_[handle.slot_].when = when;
+    // The new key (when, next seq) is what a fresh scheduleAt would
+    // get; it is larger than the old key unless `when` moved earlier.
+    const std::size_t pos = heap_pos_[handle.slot_];
+    const bool earlier = when < heap_when_[pos];
+    heap_when_[pos] = when;
+    heap_seq_[pos] = next_seq_++;
+    if (earlier)
+        siftUp(pos);
+    else
+        siftDown(pos);
+    return true;
+}
+
 void
 Simulation::heapPush(Tick when, std::uint64_t seq, std::uint32_t slot)
 {
     heap_when_.push_back(when);
     heap_seq_.push_back(seq);
     heap_slot_.push_back(slot);
-    std::size_t i = heap_when_.size() - 1;
+    siftUp(heap_when_.size() - 1);
+}
+
+// The sifts move a hole instead of swapping: the sifted entry is held
+// aside, the entries it passes move one level, and it is written once
+// where it stops. The result is the heap a swap-based sift builds, with
+// one slot re-index per level.
+
+void
+Simulation::siftUp(std::size_t i)
+{
+    const Tick when = heap_when_[i];
+    const std::uint64_t seq = heap_seq_[i];
+    const std::uint32_t slot = heap_slot_[i];
     while (i > 0) {
         const std::size_t parent = (i - 1) / 2;
-        if (!heapLess(i, parent))
+        if (!keyLess(when, seq, heap_when_[parent], heap_seq_[parent]))
             break;
-        heapSwap(i, parent);
+        heapMove(parent, i);
         i = parent;
     }
+    heapPlace(i, when, seq, slot);
 }
 
 void
 Simulation::siftDown(std::size_t i)
 {
     const std::size_t n = heap_when_.size();
+    const Tick when = heap_when_[i];
+    const std::uint64_t seq = heap_seq_[i];
+    const std::uint32_t slot = heap_slot_[i];
     for (;;) {
-        const std::size_t l = 2 * i + 1;
-        const std::size_t r = l + 1;
-        std::size_t best = i;
-        if (l < n && heapLess(l, best))
-            best = l;
-        if (r < n && heapLess(r, best))
-            best = r;
-        if (best == i)
-            return;
-        heapSwap(i, best);
-        i = best;
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n &&
+            keyLess(heap_when_[child + 1], heap_seq_[child + 1],
+                    heap_when_[child], heap_seq_[child]))
+            ++child;
+        if (!keyLess(heap_when_[child], heap_seq_[child], when, seq))
+            break;
+        heapMove(child, i);
+        i = child;
     }
+    heapPlace(i, when, seq, slot);
 }
 
 void
 Simulation::heapPopTop()
 {
-    const std::size_t n = heap_when_.size();
-    heapSwap(0, n - 1);
+    const std::size_t last = heap_when_.size() - 1;
+    if (last > 0)
+        heapMove(last, 0);
     heap_when_.pop_back();
     heap_seq_.pop_back();
     heap_slot_.pop_back();
@@ -128,7 +173,8 @@ Simulation::maybeCompact()
         }
         heap_when_[out] = heap_when_[i];
         heap_seq_[out] = heap_seq_[i];
-        heap_slot_[out] = heap_slot_[i];
+        heap_slot_[out] = slot;
+        heap_pos_[slot] = static_cast<std::uint32_t>(out);
         ++out;
     }
     heap_when_.resize(out);

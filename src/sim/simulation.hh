@@ -12,9 +12,10 @@
  * per-event heap allocation on the steady path), callbacks are stored
  * in a fixed-size inline buffer (EventFn) instead of std::function,
  * and the ready queue is a flat binary heap over struct-of-arrays
- * (when, seq, slot) keys. Handles are generation-tagged slot
- * references, so a stale handle to a fired or cancelled event can
- * never touch a recycled slot.
+ * (when, seq, slot) keys with a slot -> heap-position index, so a
+ * pending event can be re-keyed in place. Handles are
+ * generation-tagged slot references, so a stale handle to a fired or
+ * cancelled event can never touch a recycled slot.
  */
 
 #ifndef MICROSCALE_SIM_SIMULATION_HH
@@ -257,6 +258,18 @@ class Simulation
     }
 
     /**
+     * Move a pending event to absolute time `when` (must be >= now),
+     * keeping its callback and handle. The event takes the next
+     * sequence number, so it fires exactly where cancel() followed by
+     * scheduleAt(when, <same callback>) would have put it, without
+     * leaving a cancelled shell behind. O(log n). Panics on a handle
+     * of another simulation.
+     * @return false, changing nothing, when the handle is inert, stale,
+     *         fired or cancelled.
+     */
+    bool rescheduleAt(const EventHandle &handle, Tick when);
+
+    /**
      * Run until no foreground events remain or stop() is called.
      * Pending background events (periodic ticks) do not keep the
      * simulation alive.
@@ -331,18 +344,27 @@ class Simulation
     /** Flat binary heap over (when, seq) with slot payload. */
     void heapPush(Tick when, std::uint64_t seq, std::uint32_t slot);
     void heapPopTop();
+    void siftUp(std::size_t i);
     void siftDown(std::size_t i);
-    bool heapLess(std::size_t a, std::size_t b) const
+    static bool keyLess(Tick a_when, std::uint64_t a_seq, Tick b_when,
+                        std::uint64_t b_seq)
     {
-        if (heap_when_[a] != heap_when_[b])
-            return heap_when_[a] < heap_when_[b];
-        return heap_seq_[a] < heap_seq_[b];
+        if (a_when != b_when)
+            return a_when < b_when;
+        return a_seq < b_seq;
     }
-    void heapSwap(std::size_t a, std::size_t b)
+    /** Write an entry at heap index `i` and index its slot there. */
+    void heapPlace(std::size_t i, Tick when, std::uint64_t seq,
+                   std::uint32_t slot)
     {
-        std::swap(heap_when_[a], heap_when_[b]);
-        std::swap(heap_seq_[a], heap_seq_[b]);
-        std::swap(heap_slot_[a], heap_slot_[b]);
+        heap_when_[i] = when;
+        heap_seq_[i] = seq;
+        heap_slot_[i] = slot;
+        heap_pos_[slot] = static_cast<std::uint32_t>(i);
+    }
+    void heapMove(std::size_t from, std::size_t to)
+    {
+        heapPlace(to, heap_when_[from], heap_seq_[from], heap_slot_[from]);
     }
 
     /**
@@ -364,6 +386,8 @@ class Simulation
     std::vector<Tick> heap_when_;
     std::vector<std::uint64_t> heap_seq_;
     std::vector<std::uint32_t> heap_slot_;
+    /** Heap index of each slot's entry (valid while it is in the heap). */
+    std::vector<std::uint32_t> heap_pos_;
     /** Cancelled shells still inside the heap (lazy deletion). */
     std::size_t cancelled_shells_ = 0;
 

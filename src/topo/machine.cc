@@ -7,11 +7,51 @@
 namespace microscale::topo
 {
 
+namespace
+{
+
+/** Ascending CPU list of a mask. */
+std::vector<CpuId>
+listOf(const CpuMask &mask)
+{
+    std::vector<CpuId> out;
+    out.reserve(mask.count());
+    for (CpuId c : mask)
+        out.push_back(c);
+    return out;
+}
+
+} // namespace
+
 Machine::Machine(MachineParams params) : params_(std::move(params))
 {
     params_.validate();
     all_cpus_ = CpuMask::firstN(numCpus());
     primary_threads_ = CpuMask::firstN(numCores());
+
+    // CPU c and c + numCores() share core c % numCores(); cores are
+    // numbered contiguously within a CCX, CCXs within a node, nodes
+    // within a socket.
+    core_masks_.resize(numCores());
+    ccx_masks_.resize(numCcxs());
+    node_masks_.resize(numNodes());
+    socket_masks_.resize(numSockets());
+    cpu_info_.resize(numCpus());
+    for (CpuId cpu = 0; cpu < numCpus(); ++cpu) {
+        CpuInfo &info = cpu_info_[cpu];
+        info.core = cpu % numCores();
+        info.ccx = info.core / params_.coresPerCcx;
+        info.node = info.ccx / params_.ccxsPerNode;
+        info.socket = info.node / params_.nodesPerSocket;
+        core_masks_[info.core].set(cpu);
+        ccx_masks_[info.ccx].set(cpu);
+        node_masks_[info.node].set(cpu);
+        socket_masks_[info.socket].set(cpu);
+    }
+    for (const CpuMask &m : ccx_masks_)
+        ccx_lists_.push_back(listOf(m));
+    for (const CpuMask &m : socket_masks_)
+        socket_lists_.push_back(listOf(m));
 
     const unsigned nodes = numNodes();
     mem_latency_.resize(static_cast<std::size_t>(nodes) * nodes);
@@ -26,87 +66,6 @@ Machine::Machine(MachineParams params) : params_(std::move(params))
             mem_latency_[static_cast<std::size_t>(from) * nodes + to] = lat;
         }
     }
-}
-
-CoreId
-Machine::coreOf(CpuId cpu) const
-{
-    if (cpu >= numCpus())
-        MS_PANIC("coreOf: cpu ", cpu, " out of range");
-    return cpu % numCores();
-}
-
-CcxId
-Machine::ccxOf(CpuId cpu) const
-{
-    return coreOf(cpu) / params_.coresPerCcx;
-}
-
-NodeId
-Machine::nodeOf(CpuId cpu) const
-{
-    return ccxOf(cpu) / params_.ccxsPerNode;
-}
-
-SocketId
-Machine::socketOf(CpuId cpu) const
-{
-    return nodeOf(cpu) / params_.nodesPerSocket;
-}
-
-CpuId
-Machine::siblingOf(CpuId cpu) const
-{
-    if (params_.threadsPerCore < 2)
-        return kInvalidCpu;
-    const unsigned cores = numCores();
-    return cpu < cores ? cpu + cores : cpu - cores;
-}
-
-CpuMask
-Machine::cpusOfCore(CoreId core) const
-{
-    if (core >= numCores())
-        MS_PANIC("cpusOfCore: core ", core, " out of range");
-    CpuMask m = CpuMask::single(core);
-    if (params_.threadsPerCore == 2)
-        m.set(core + numCores());
-    return m;
-}
-
-CpuMask
-Machine::cpusOfCcx(CcxId ccx) const
-{
-    if (ccx >= numCcxs())
-        MS_PANIC("cpusOfCcx: ccx ", ccx, " out of range");
-    const CoreId first = ccx * params_.coresPerCcx;
-    CpuMask m;
-    for (CoreId c = first; c < first + params_.coresPerCcx; ++c)
-        m |= cpusOfCore(c);
-    return m;
-}
-
-CpuMask
-Machine::cpusOfNode(NodeId node) const
-{
-    if (node >= numNodes())
-        MS_PANIC("cpusOfNode: node ", node, " out of range");
-    CpuMask m;
-    for (CcxId x : ccxsOfNode(node))
-        m |= cpusOfCcx(x);
-    return m;
-}
-
-CpuMask
-Machine::cpusOfSocket(SocketId socket) const
-{
-    if (socket >= numSockets())
-        MS_PANIC("cpusOfSocket: socket ", socket, " out of range");
-    CpuMask m;
-    const NodeId first = socket * params_.nodesPerSocket;
-    for (NodeId n = first; n < first + params_.nodesPerSocket; ++n)
-        m |= cpusOfNode(n);
-    return m;
 }
 
 NodeId
@@ -135,15 +94,6 @@ Machine::ccxsOfNode(NodeId node) const
     for (CcxId x = first; x < first + params_.ccxsPerNode; ++x)
         out.push_back(x);
     return out;
-}
-
-double
-Machine::memLatencyNs(NodeId from, NodeId to) const
-{
-    const unsigned nodes = numNodes();
-    if (from >= nodes || to >= nodes)
-        MS_PANIC("memLatencyNs: node out of range: ", from, ", ", to);
-    return mem_latency_[static_cast<std::size_t>(from) * nodes + to];
 }
 
 std::string

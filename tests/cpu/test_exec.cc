@@ -477,5 +477,133 @@ TEST_P(ExecMonotonicity, NeighborsNeverHelp)
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecMonotonicity,
                          ::testing::Values(10, 20, 30, 40));
 
+/** A profile whose rate depends on its L3 share. */
+WorkProfile
+cacheBound(const std::string &name, double wss_mib)
+{
+    WorkProfile p;
+    p.name = name;
+    p.ipcBase = 1.0;
+    p.l3Apki = 10.0;
+    p.wssBytes = wss_mib * 1024 * 1024;
+    p.branchMpki = 0.0;
+    p.icacheMpki = 0.0;
+    p.smtYield = 0.6;
+    return p;
+}
+
+TEST(ExecSharing, ManyDistinctCoRunnersCountOnce)
+{
+    // One 16-core SMT2 CCX holds a bystander's 16 distinct
+    // co-runners. A second thread of the 16th co-runner's profile (on
+    // CPU 16, the sibling of CPU 0, so neither the active-core count
+    // nor the bystander's sibling changes) adds no new working set:
+    // the bystander's rate must not move.
+    topo::MachineParams mp = topo::small8();
+    mp.name = "wide-ccx";
+    mp.nodesPerSocket = 1;
+    mp.ccxsPerNode = 1;
+    mp.coresPerCcx = 16;
+    mp.threadsPerCore = 2;
+    mp.cache.l3BytesPerCcx = 32ull * 1024 * 1024;
+    sim::Simulation sim;
+    topo::Machine machine(mp);
+    ExecEngine engine(sim, machine);
+
+    std::vector<WorkProfile> profiles;
+    for (int i = 0; i < 16; ++i)
+        profiles.push_back(cacheBound("co" + std::to_string(i), 4.0));
+    const WorkProfile own = cacheBound("bystander", 4.0);
+
+    std::vector<std::unique_ptr<ExecContext>> ctxs;
+    auto start = [&](const WorkProfile &p, CpuId cpu) {
+        ctxs.push_back(std::make_unique<ExecContext>(p.name, 0));
+        engine.setWork(*ctxs.back(), p, 1e12, [] {});
+        engine.startRun(*ctxs.back(), cpu);
+    };
+    for (CpuId c = 0; c < 16; ++c)
+        start(profiles[c], c);
+    ExecContext bystander("bystander", 0);
+    engine.setWork(bystander, own, 1e12, [] {});
+
+    const double before = engine.rateOn(bystander, 17);
+    start(profiles[15], 16);
+    EXPECT_EQ(engine.rateOn(bystander, 17), before);
+}
+
+TEST(ExecSharing, OccupancyOrderDoesNotChangeRates)
+{
+    // Two engines reach one final occupancy of rome128's CCX 0 (CPUs
+    // 0-3 and their siblings 64-67) through different start/stop
+    // orders. The working sets are non-integer byte counts (0.8 MiB as
+    // in perf/synth), chosen so that summing them in the order the
+    // profiles first started, instead of ascending-CPU order, changes
+    // the low bits of most rates: every context must read bit-equal
+    // rates.
+    const std::vector<WorkProfile> palette = {
+        cacheBound("a", 0.8), cacheBound("b", 6.1), cacheBound("c", 4.6),
+        cacheBound("d", 4.5), cacheBound("e", 6.7)};
+    // Final occupancy: (profile index, cpu).
+    const std::vector<std::pair<std::size_t, CpuId>> final_cpus = {
+        {0, 0}, {1, 1}, {2, 2}, {0, 3}, {3, 64}, {4, 65}, {1, 66}};
+    const WorkProfile probe_profile = cacheBound("probe", 7.7);
+
+    struct World
+    {
+        sim::Simulation sim;
+        topo::Machine machine{topo::rome128()};
+        ExecEngine engine{sim, machine};
+        std::vector<std::unique_ptr<ExecContext>> ctxs;
+        ExecContext probe{"probe", 0};
+    };
+    auto build = [&](World &w) {
+        for (std::size_t i = 0; i < final_cpus.size(); ++i) {
+            w.ctxs.push_back(std::make_unique<ExecContext>(
+                "t" + std::to_string(i), 0));
+            w.engine.setWork(*w.ctxs.back(),
+                             palette[final_cpus[i].first], 1e12, [] {});
+        }
+        w.engine.setWork(w.probe, probe_profile, 1e12, [] {});
+    };
+
+    World up;
+    build(up);
+    for (std::size_t i = 0; i < final_cpus.size(); ++i)
+        up.engine.startRun(*up.ctxs[i], final_cpus[i].second);
+
+    // Descending final CPUs, with detours through CPUs that end up
+    // empty or taken by another context, all inside the CCX.
+    World down;
+    build(down);
+    ExecEngine &e = down.engine;
+    auto &t = down.ctxs;
+    e.startRun(*t[5], 67);
+    e.startRun(*t[0], 1);
+    e.startRun(*t[6], 66);
+    e.startRun(*t[4], 2);
+    e.stopRun(*t[5]);
+    e.startRun(*t[5], 65);
+    e.stopRun(*t[4]);
+    e.startRun(*t[4], 64);
+    e.stopRun(*t[0]);
+    e.startRun(*t[3], 3);
+    e.startRun(*t[2], 2);
+    e.startRun(*t[1], 1);
+    e.startRun(*t[0], 0);
+    for (std::size_t i = 0; i < final_cpus.size(); ++i) {
+        ASSERT_EQ(up.ctxs[i]->cpu(), final_cpus[i].second);
+        ASSERT_EQ(down.ctxs[i]->cpu(), final_cpus[i].second);
+    }
+
+    for (std::size_t i = 0; i < final_cpus.size(); ++i) {
+        const CpuId cpu = final_cpus[i].second;
+        EXPECT_EQ(up.engine.rateOn(*up.ctxs[i], cpu),
+                  down.engine.rateOn(*down.ctxs[i], cpu))
+            << "context " << i << " on cpu " << cpu;
+    }
+    EXPECT_EQ(up.engine.rateOn(up.probe, 67),
+              down.engine.rateOn(down.probe, 67));
+}
+
 } // namespace
 } // namespace microscale::cpu

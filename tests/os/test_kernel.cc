@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "base/random.hh"
@@ -298,6 +300,112 @@ TEST_P(KernelProperty, AllWorkCompletesWithinAffinity)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+/**
+ * Property: the scheduler's per-CPU load bookkeeping survives a storm
+ * of wakes, short-timeslice preemptions and affinity changes. Once the
+ * storm drains every CPU reads idle, and a fresh burst of threads is
+ * spread one per idle core before any SMT sibling is used.
+ */
+class KernelStorm : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(KernelStorm, DrainsIdleThenSpreadsOnePerCore)
+{
+    sim::Simulation sim;
+    topo::Machine machine(topo::presetByName(GetParam()));
+    cpu::ExecEngine engine(sim, machine);
+    SchedParams sp;
+    sp.timeslice = 50 * kMicrosecond;
+    sp.balancePeriod = 200 * kMicrosecond;
+    Kernel kernel(sim, machine, engine, sp, 7);
+    kernel.start();
+    Rng rng(7);
+
+    cpu::WorkProfile profile;
+    profile.name = "storm";
+    profile.ipcBase = 1.2;
+    profile.l3Apki = 2.0;
+    profile.wssBytes = 2.0 * 1024 * 1024;
+
+    auto randomMask = [&] {
+        const unsigned cpus = machine.numCpus();
+        switch (rng.uniformInt(0, 3)) {
+          case 0:
+            return machine.allCpus();
+          case 1:
+            return machine.cpusOfCcx(
+                static_cast<CcxId>(rng.index(machine.numCcxs())));
+          case 2:
+            return CpuMask::single(static_cast<CpuId>(rng.index(cpus)));
+          default: {
+            const auto lo = static_cast<CpuId>(rng.index(cpus));
+            return CpuMask::range(
+                lo, static_cast<CpuId>(rng.uniformInt(lo, cpus - 1)));
+          }
+        }
+    };
+
+    // Oversubscribed: 1.5 threads per CPU, several work items each.
+    const std::size_t n = machine.numCpus() * 3 / 2;
+    constexpr int kRounds = 6;
+    std::vector<Thread *> threads;
+    std::vector<int> rounds(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        threads.push_back(
+            kernel.createThread("s" + std::to_string(i), randomMask()));
+    }
+    int completions = 0;
+    std::function<void(std::size_t)> submit = [&](std::size_t i) {
+        threads[i]->run(profile, rng.uniformReal(0.05e6, 0.6e6),
+                        [&, i] {
+                            ++completions;
+                            if (++rounds[i] < kRounds)
+                                submit(i);
+                        });
+    };
+    for (std::size_t i = 0; i < n; ++i)
+        submit(i);
+    for (std::size_t k = 0; k < 4 * n; ++k) {
+        Thread *t = threads[rng.index(n)];
+        const CpuMask mask = randomMask();
+        sim.scheduleAt(static_cast<Tick>(rng.uniformInt(1, 2000)) *
+                           kMicrosecond,
+                       [t, mask] { t->setAffinity(mask); });
+    }
+    sim.run();
+    EXPECT_EQ(completions, static_cast<int>(n) * kRounds);
+    EXPECT_GT(kernel.stats().preemptions, 0u);
+    for (CpuId c = 0; c < machine.numCpus(); ++c) {
+        EXPECT_TRUE(kernel.cpuIdle(c)) << "cpu " << c;
+        EXPECT_EQ(kernel.cpuLoad(c), 0u) << "cpu " << c;
+        EXPECT_EQ(kernel.queueDepth(c), 0u) << "cpu " << c;
+        EXPECT_EQ(engine.runningOn(c), nullptr) << "cpu " << c;
+    }
+
+    // Fresh unpinned threads: one per core, all on primary threads.
+    std::vector<Thread *> burst;
+    for (CoreId i = 0; i < machine.numCores(); ++i) {
+        burst.push_back(kernel.createThread("b" + std::to_string(i),
+                                            machine.allCpus()));
+        burst.back()->run(profile, 50e6, [] {});
+    }
+    sim.runUntil(sim.now() + sp.switchCost + 1);
+    std::vector<bool> core_used(machine.numCores(), false);
+    for (Thread *t : burst) {
+        const CpuId cpu = t->ec().cpu();
+        ASSERT_NE(cpu, kInvalidCpu) << t->name();
+        EXPECT_TRUE(machine.isPrimaryThread(cpu)) << t->name();
+        EXPECT_FALSE(core_used[machine.coreOf(cpu)]) << t->name();
+        core_used[machine.coreOf(cpu)] = true;
+    }
+    sim.run();
+    kernel.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Machines, KernelStorm,
+                         ::testing::Values("small8", "rome128"));
 
 } // namespace
 } // namespace microscale::os

@@ -264,8 +264,13 @@ struct RefQueue
 TEST(EventCore, RandomizedMatchesReferenceQueue)
 {
     // Drive the slab core and the naive reference with an identical
-    // random interleaving of schedule/cancel/advance operations and
-    // require identical firing orders.
+    // random interleaving of schedule/cancel/reschedule/advance
+    // operations and require identical firing orders. The reference
+    // models rescheduleAt as cancel + add with a fresh sequence
+    // number. Events land far ahead of short advances and cancels
+    // outnumber fires, so cancelled shells pile up until the heap
+    // compacts (about 30 times over the 20 trials), with rekeys on
+    // both sides of each compaction.
     std::mt19937_64 rng(12345);
     for (int trial = 0; trial < 20; ++trial) {
         Simulation sim;
@@ -274,10 +279,10 @@ TEST(EventCore, RandomizedMatchesReferenceQueue)
         std::vector<std::pair<EventHandle, int>> live; // handle, ref idx
         Tick horizon = 0;
         int next_id = 0;
-        for (int op = 0; op < 400; ++op) {
-            const std::uint64_t what = rng() % 10;
-            if (what < 6) {
-                const Tick when = horizon + rng() % 1000;
+        for (int op = 0; op < 1200; ++op) {
+            const std::uint64_t what = rng() % 20;
+            if (what < 9) {
+                const Tick when = horizon + rng() % 20000;
                 const int id = next_id++;
                 live.emplace_back(
                     sim.scheduleAt(when,
@@ -285,14 +290,23 @@ TEST(EventCore, RandomizedMatchesReferenceQueue)
                                        simFired.push_back(id);
                                    }),
                     ref.add(when, id));
-            } else if (what < 8 && !live.empty()) {
+            } else if (what < 14 && !live.empty()) {
                 const std::size_t pick = rng() % live.size();
                 live[pick].first.cancel();
                 ref.evs[live[pick].second].cancelled = true;
                 live.erase(live.begin() +
                            static_cast<std::ptrdiff_t>(pick));
+            } else if (what < 18 && !live.empty()) {
+                // Earlier, same or later tick than before.
+                const std::size_t pick = rng() % live.size();
+                const Tick when = horizon + rng() % 20000;
+                ASSERT_TRUE(sim.rescheduleAt(live[pick].first, when));
+                RefQueue::Ev &old = ref.evs[live[pick].second];
+                old.cancelled = true;
+                live[pick].second = ref.add(when, old.id);
+                ASSERT_EQ(live[pick].first.when(), when);
             } else {
-                horizon += rng() % 500;
+                horizon += rng() % 300;
                 sim.runUntil(horizon);
                 const std::vector<int> out = ref.drain(horizon);
                 refFired.insert(refFired.end(), out.begin(),
@@ -336,6 +350,74 @@ TEST(EventCore, RescheduleViaCancelPlusScheduleKeepsFifo)
     completion = sim.scheduleAt(100, [&] { order.push_back(4); });
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+}
+
+TEST(EventCore, RescheduleInPlaceKeepsFifo)
+{
+    // The same sequence with rescheduleAt: each rekey takes the next
+    // sequence number, so the completion fires after every event
+    // scheduled before its last rekey, as cancel + schedule would.
+    Simulation sim;
+    std::vector<int> order;
+    EventHandle completion =
+        sim.scheduleAt(100, [&] { order.push_back(0); });
+    sim.scheduleAt(100, [&] { order.push_back(1); });
+    EXPECT_TRUE(sim.rescheduleAt(completion, 100));
+    sim.scheduleAt(100, [&] { order.push_back(3); });
+    EXPECT_TRUE(sim.rescheduleAt(completion, 100));
+    sim.scheduleAt(100, [&] { order.push_back(5); });
+    EXPECT_EQ(sim.queuedEvents(), 4u);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 0, 5}));
+
+    // Moving earlier or later re-sorts by time first.
+    order.clear();
+    EventHandle late = sim.scheduleAt(300, [&] { order.push_back(0); });
+    EventHandle early = sim.scheduleAt(200, [&] { order.push_back(1); });
+    EXPECT_TRUE(sim.rescheduleAt(late, 150));
+    EXPECT_TRUE(sim.rescheduleAt(early, 400));
+    EXPECT_EQ(late.when(), 150u);
+    EXPECT_EQ(early.when(), 400u);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(sim.now(), 400u);
+}
+
+TEST(EventCore, RescheduleOfDeadHandleIsInert)
+{
+    // Fired, stale-generation, cancelled and default handles are
+    // refused and leave the queue as it was: nothing moves, nothing
+    // is added, and the sequence counter does not advance (the two
+    // same-tick events keep their FIFO order).
+    Simulation sim;
+    std::vector<int> order;
+    EventHandle fired = sim.scheduleAt(10, [&] { order.push_back(0); });
+    sim.run();
+    EXPECT_FALSE(sim.rescheduleAt(fired, 25));
+
+    // `reuse` recycles the fired event's slot under a new generation,
+    // which makes `fired` stale: it must not move `reuse`.
+    EventHandle reuse = sim.scheduleAt(30, [&] { order.push_back(2); });
+    EXPECT_EQ(sim.slabSlots(), 1u);
+    EXPECT_FALSE(sim.rescheduleAt(fired, 25));
+
+    EventHandle cancelled =
+        sim.scheduleAt(20, [&] { order.push_back(1); });
+    cancelled.cancel();
+    EXPECT_FALSE(sim.rescheduleAt(cancelled, 25));
+
+    const EventHandle inert;
+    EXPECT_FALSE(sim.rescheduleAt(inert, 25));
+
+    EventHandle tail = sim.scheduleAt(30, [&] { order.push_back(3); });
+    EXPECT_FALSE(cancelled.pending());
+    EXPECT_EQ(fired.when(), 0u);
+    EXPECT_EQ(reuse.when(), 30u);
+    EXPECT_EQ(sim.queuedEvents(), 2u);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 3}));
+    EXPECT_EQ(sim.now(), 30u);
+    EXPECT_FALSE(tail.pending());
 }
 
 } // namespace

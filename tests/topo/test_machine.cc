@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
+#include <vector>
 
+#include "cluster/cluster.hh"
 #include "topo/machine.hh"
 #include "topo/presets.hh"
 
@@ -107,7 +111,17 @@ TEST(MachineDeathTest, OutOfRangeLookupsPanic)
 {
     Machine m(small8());
     EXPECT_DEATH(m.coreOf(m.numCpus()), "out of range");
+    EXPECT_DEATH(m.ccxOf(m.numCpus()), "ccxOf: cpu 8 out of range");
+    EXPECT_DEATH(m.nodeOf(m.numCpus()), "nodeOf: cpu 8 out of range");
+    EXPECT_DEATH(m.socketOf(m.numCpus()), "socketOf: cpu 8 out of range");
+    EXPECT_DEATH(m.cpusOfCore(m.numCores()), "out of range");
     EXPECT_DEATH(m.cpusOfCcx(m.numCcxs()), "out of range");
+    EXPECT_DEATH(m.cpusOfNode(m.numNodes()), "out of range");
+    EXPECT_DEATH(m.cpusOfSocket(m.numSockets()), "out of range");
+    EXPECT_DEATH(m.cpuListOfCcx(m.numCcxs()),
+                 "cpuListOfCcx: ccx 2 out of range");
+    EXPECT_DEATH(m.cpuListOfSocket(m.numSockets()),
+                 "cpuListOfSocket: socket 1 out of range");
     EXPECT_DEATH(m.memLatencyNs(9, 0), "out of range");
 }
 
@@ -133,14 +147,56 @@ TEST(PresetsDeathTest, UnknownNameFatal)
                 ::testing::ExitedWithCode(1), "unknown machine preset");
 }
 
-/** Structural invariants that must hold for every preset. */
-class PresetInvariants : public ::testing::TestWithParam<std::string>
+/** Ascending CPU list of a mask. */
+std::vector<CpuId>
+listOf(const CpuMask &mask)
 {
-};
+    std::vector<CpuId> out;
+    for (CpuId c : mask)
+        out.push_back(c);
+    return out;
+}
 
-TEST_P(PresetInvariants, PartitionsAreConsistent)
+/** Structural invariants that must hold for every machine. */
+void
+expectConsistentPartitions(const Machine &m)
 {
-    Machine m(presetByName(GetParam()));
+    const MachineParams &p = m.params();
+
+    // The lookup tables agree with the numbering convention: CPU c and
+    // c + numCores() share core c % numCores(), and cores, CCXs and
+    // nodes are numbered contiguously inside their parents.
+    for (CpuId c = 0; c < m.numCpus(); ++c) {
+        const CoreId core = c % m.numCores();
+        EXPECT_EQ(m.coreOf(c), core);
+        EXPECT_EQ(m.ccxOf(c), core / p.coresPerCcx);
+        EXPECT_EQ(m.nodeOf(c), core / p.coresPerCcx / p.ccxsPerNode);
+        EXPECT_EQ(m.socketOf(c), core / p.coresPerCcx / p.ccxsPerNode /
+                                     p.nodesPerSocket);
+        EXPECT_EQ(m.nodeOf(c), m.nodeOfCcx(m.ccxOf(c)));
+        EXPECT_EQ(m.socketOf(c), m.socketOfNode(m.nodeOf(c)));
+        EXPECT_TRUE(m.cpusOfCore(core).test(c));
+    }
+    for (CoreId core = 0; core < m.numCores(); ++core)
+        EXPECT_EQ(m.cpusOfCore(core).count(), m.threadsPerCore());
+
+    // The CPU lists are the masks, strictly ascending.
+    for (CcxId x = 0; x < m.numCcxs(); ++x) {
+        const std::vector<CpuId> &list = m.cpuListOfCcx(x);
+        EXPECT_TRUE(std::adjacent_find(list.begin(), list.end(),
+                                       std::greater_equal<>()) ==
+                    list.end());
+        EXPECT_EQ(list, listOf(m.cpusOfCcx(x)));
+    }
+    for (SocketId s = 0; s < m.numSockets(); ++s) {
+        const std::vector<CpuId> &list = m.cpuListOfSocket(s);
+        EXPECT_TRUE(std::adjacent_find(list.begin(), list.end(),
+                                       std::greater_equal<>()) ==
+                    list.end());
+        EXPECT_EQ(list, listOf(m.cpusOfSocket(s)));
+        for (CpuId c : list)
+            EXPECT_EQ(m.socketOf(c), s);
+    }
 
     // Every CPU belongs to exactly the structures its ids claim.
     CpuMask all_from_ccxs;
@@ -191,6 +247,27 @@ TEST_P(PresetInvariants, PartitionsAreConsistent)
             EXPECT_GE(m.memLatencyNs(a, b), m.memLatencyNs(a, a));
         }
     }
+}
+
+class PresetInvariants : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(PresetInvariants, PartitionsAreConsistent)
+{
+    expectConsistentPartitions(Machine(presetByName(GetParam())));
+}
+
+TEST(ClusterMachineInvariants, PartitionsAreConsistent)
+{
+    // Four rome128 sockets fill every word of a CpuMask.
+    cluster::ClusterParams cp;
+    cp.nodes = 4;
+    cp.nodeMachine = rome128();
+    const Machine m(cluster::clusterMachine(cp));
+    EXPECT_EQ(m.numCpus(), kMaxCpus);
+    EXPECT_EQ(m.numSockets(), 4u);
+    expectConsistentPartitions(m);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPresets, PresetInvariants,
