@@ -2,12 +2,17 @@
  * @file
  * MICRO: google-benchmark microbenchmarks of the simulation engine
  * itself - event queue throughput, CpuMask algebra, histogram insert
- * and quantile queries, scheduler dispatch and execution-engine churn.
+ * and quantile queries, scheduler dispatch, the scheduler's idle path
+ * and execution-engine churn.
  * These bound how much simulated time per wall second the harness can
  * deliver.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <functional>
+#include <string>
 
 #include "base/cpumask.hh"
 #include "base/stats.hh"
@@ -136,6 +141,56 @@ BM_SchedulerDispatchCycle(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerDispatchCycle);
+
+void
+BM_SchedulerIdlePath(benchmark::State &state)
+{
+    // 16 unpinned threads run short items back to back on a started
+    // rome128 kernel, so every completion leaves its CPU idle and goes
+    // through new-idle stealing before the thread wakes again. With
+    // Arg(n) > 0, n CCXs (one per node) also hold three CCX-pinned
+    // threads per CPU: deep queues that no other CPU may steal from.
+    const auto deep_ccxs = static_cast<CcxId>(state.range(0));
+    sim::Simulation sim;
+    topo::Machine machine(topo::rome128());
+    cpu::ExecEngine engine(sim, machine);
+    os::Kernel kernel(sim, machine, engine, os::SchedParams{}, 1);
+    kernel.start();
+    cpu::WorkProfile p;
+    p.l3Apki = 0.0;
+    p.branchMpki = 0.0;
+    p.icacheMpki = 0.0;
+
+    for (CcxId i = 0; i < deep_ccxs; ++i) {
+        const CcxId ccx = i * (machine.numCcxs() / deep_ccxs);
+        const CpuMask &cpus = machine.cpusOfCcx(ccx);
+        for (unsigned k = 0; k < 3 * cpus.count(); ++k) {
+            kernel.createThread("deep" + std::to_string(k), cpus)
+                ->run(p, 1e15, [] {});
+        }
+    }
+    std::uint64_t items = 0;
+    std::function<void(os::Thread *)> submit = [&](os::Thread *t) {
+        t->run(p, 1e4, [&, t] {
+            ++items;
+            submit(t);
+        });
+    };
+    for (int i = 0; i < 16; ++i)
+        submit(kernel.createThread("bm" + std::to_string(i),
+                                   machine.allCpus()));
+
+    for (auto _ : state) {
+        sim.runUntil(sim.now() + 100 * kMicrosecond);
+        benchmark::DoNotOptimize(items);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(items));
+    state.counters["per_item"] = benchmark::Counter(
+        static_cast<double>(items),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    kernel.stop();
+}
+BENCHMARK(BM_SchedulerIdlePath)->Arg(0)->Arg(4);
 
 void
 BM_ExecEngineChurn(benchmark::State &state)

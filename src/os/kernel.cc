@@ -22,7 +22,8 @@ Kernel::Kernel(sim::Simulation &sim, const topo::Machine &machine,
       last_ran_(machine.numCpus(), nullptr),
       min_vruntime_(machine.numCpus(), 0.0),
       load_(machine.numCpus(), 0),
-      levels_{machine.allCpus()}
+      levels_{machine.allCpus()},
+      pullable_(machine.numCpus())
 {
 }
 
@@ -34,17 +35,24 @@ Kernel::~Kernel()
 Thread *
 Kernel::createThread(std::string name, CpuMask affinity, NodeId home_node)
 {
+    const CpuMask allowed = allowedCpus(name, affinity);
+    if (home_node != kInvalidNode && home_node >= machine_.numNodes())
+        fatal("thread '", name, "': home node ", home_node, " not present");
+    threads_.push_back(std::make_unique<Thread>(
+        *this, next_tid_++, std::move(name), allowed, home_node));
+    return threads_.back().get();
+}
+
+CpuMask
+Kernel::allowedCpus(const std::string &name, const CpuMask &affinity) const
+{
     const CpuMask allowed = affinity & machine_.allCpus();
     if (allowed.empty()) {
         fatal("thread '", name,
               "': affinity has no CPUs on this machine (",
               affinity.toString(), ")");
     }
-    if (home_node != kInvalidNode && home_node >= machine_.numNodes())
-        fatal("thread '", name, "': home node ", home_node, " not present");
-    threads_.push_back(std::make_unique<Thread>(
-        *this, next_tid_++, std::move(name), allowed, home_node));
-    return threads_.back().get();
+    return allowed;
 }
 
 void
@@ -170,6 +178,8 @@ Kernel::enqueue(Thread *t, CpuId cpu)
     t->rq_cpu_ = cpu;
     t->vruntime_ = std::max(t->vruntime_, min_vruntime_[cpu]);
     rq_[cpu].push_back(t);
+    queued_.set(cpu);
+    pullable_[cpu] |= t->affinity();
     addLoad(cpu, +1);
 }
 
@@ -186,6 +196,7 @@ Kernel::dequeueNext(CpuId cpu)
     }
     Thread *t = *best;
     q.erase(best);
+    reindexQueue(cpu);
     addLoad(cpu, -1);
     t->rq_cpu_ = kInvalidCpu;
     return t;
@@ -201,8 +212,20 @@ Kernel::removeFromQueue(Thread *t)
     if (it == q.end())
         MS_PANIC("thread ", t->name(), " missing from its run queue");
     q.erase(it);
+    reindexQueue(t->rq_cpu_);
     addLoad(t->rq_cpu_, -1);
     t->rq_cpu_ = kInvalidCpu;
+}
+
+void
+Kernel::reindexQueue(CpuId cpu)
+{
+    CpuMask &pullable = pullable_[cpu];
+    pullable = CpuMask();
+    for (const Thread *q : rq_[cpu])
+        pullable |= q->affinity();
+    if (rq_[cpu].empty())
+        queued_.clear(cpu);
 }
 
 void
@@ -222,7 +245,9 @@ Kernel::onAffinityChanged(Thread *t)
       case Thread::State::Blocked:
         break;
       case Thread::State::Runnable:
-        if (!t->affinity().test(t->rq_cpu_)) {
+        if (t->affinity().test(t->rq_cpu_)) {
+            reindexQueue(t->rq_cpu_);
+        } else {
             removeFromQueue(t);
             t->state_ = Thread::State::Blocked;
             const CpuId cpu = selectCpu(t);
@@ -248,7 +273,7 @@ Kernel::schedule(CpuId cpu)
     Thread *t = dequeueNext(cpu);
     if (!t) {
         if (params_.newIdleSteal && started_)
-            newIdlePull(cpu);
+            pull(cpu, stats_.newIdlePulls);
         return;
     }
     dispatch(t, cpu);
@@ -378,25 +403,16 @@ Kernel::preemptTick()
 Thread *
 Kernel::stealFrom(const CpuMask &domain, CpuId for_cpu)
 {
-    // Find the deepest queue in the domain holding a thread that is
-    // allowed to run on for_cpu.
+    // Only queued CPUs can be deeper than zero (for_cpu's own queue is
+    // empty), and pullable_ says whether a queue holds a thread allowed
+    // on for_cpu without walking it; the scan order and the strict >
+    // are those of a full scan.
     CpuId busiest = kInvalidCpu;
     std::size_t depth = 0;
-    for (CpuId c : domain) {
-        if (c == for_cpu)
-            continue;
-        if (rq_[c].size() > depth) {
-            bool eligible = false;
-            for (Thread *q : rq_[c]) {
-                if (q->affinity().test(for_cpu)) {
-                    eligible = true;
-                    break;
-                }
-            }
-            if (eligible) {
-                depth = rq_[c].size();
-                busiest = c;
-            }
+    for (CpuId c : domain & queued_) {
+        if (rq_[c].size() > depth && pullable_[c].test(for_cpu)) {
+            depth = rq_[c].size();
+            busiest = c;
         }
     }
     if (busiest == kInvalidCpu)
@@ -408,12 +424,14 @@ Kernel::stealFrom(const CpuMask &domain, CpuId for_cpu)
             return q;
         }
     }
-    return nullptr;
+    MS_PANIC("pullable mask of cpu ", busiest, " is out of date");
 }
 
-bool
-Kernel::newIdlePull(CpuId cpu)
+void
+Kernel::pull(CpuId cpu, std::uint64_t &pulls)
 {
+    if (queued_.empty())
+        return;
     // Widening search: CCX, then node, then the whole machine.
     const CpuMask *domains[] = {
         &machine_.cpusOfCcx(machine_.ccxOf(cpu)),
@@ -421,37 +439,24 @@ Kernel::newIdlePull(CpuId cpu)
         &machine_.allCpus(),
     };
     for (const CpuMask *d : domains) {
-        Thread *t = stealFrom(*d, cpu);
-        if (t) {
-            ++stats_.newIdlePulls;
+        if (Thread *t = stealFrom(*d, cpu)) {
+            ++pulls;
             enqueue(t, cpu);
             schedule(cpu);
-            return true;
+            return;
         }
     }
-    return false;
 }
 
 void
 Kernel::balancePass()
 {
-    for (CpuId cpu = 0; cpu < machine_.numCpus(); ++cpu) {
-        if (!cpuIdle(cpu))
-            continue;
-        const CpuMask *domains[] = {
-            &machine_.cpusOfCcx(machine_.ccxOf(cpu)),
-            &machine_.cpusOfNode(machine_.nodeOf(cpu)),
-            &machine_.allCpus(),
-        };
-        for (const CpuMask *d : domains) {
-            Thread *t = stealFrom(*d, cpu);
-            if (t) {
-                ++stats_.balancePulls;
-                enqueue(t, cpu);
-                schedule(cpu);
-                break;
-            }
-        }
+    // Visit the idle CPUs in ascending order. levels_ is re-read at
+    // every step because a pull can grow it.
+    for (CpuId cpu = levels_[0].first();
+         cpu != kInvalidCpu && !queued_.empty();
+         cpu = levels_[0].next(cpu)) {
+        pull(cpu, stats_.balancePulls);
     }
 }
 

@@ -125,6 +125,13 @@ class Kernel
     /** Called by Thread::run to make a thread runnable. */
     void wake(Thread *t);
 
+    /**
+     * `affinity` trimmed to this machine's CPUs; fatal, naming thread
+     * `name`, when nothing is left.
+     */
+    CpuMask allowedCpus(const std::string &name,
+                        const CpuMask &affinity) const;
+
     /** Called by Thread::setAffinity to re-place the thread if needed. */
     void onAffinityChanged(Thread *t);
 
@@ -148,6 +155,9 @@ class Kernel
     Thread *dequeueNext(CpuId cpu);
     void removeFromQueue(Thread *t);
 
+    /** Rebuild queued_ and pullable_ for `cpu` from its run queue. */
+    void reindexQueue(CpuId cpu);
+
     /** If `cpu` is free, dispatch the next queued thread onto it. */
     void schedule(CpuId cpu);
 
@@ -166,10 +176,16 @@ class Kernel
     /** Periodic load balancing: pull work towards idle CPUs. */
     void balancePass();
 
-    /** Steal one runnable thread for a newly idle CPU. */
-    bool newIdlePull(CpuId cpu);
+    /**
+     * Steal one runnable thread for the idle `cpu`, searching its CCX,
+     * then its node, then the machine; a pull is counted in `pulls`.
+     */
+    void pull(CpuId cpu, std::uint64_t &pulls);
 
-    /** Try to steal for `cpu` from queues in `domain` - `exclude`. */
+    /**
+     * Take a thread allowed on `for_cpu` from the deepest queue in
+     * `domain` that holds one (ties to the lowest CPU); null if none.
+     */
     Thread *stealFrom(const CpuMask &domain, CpuId for_cpu);
 
     sim::Simulation &sim_;
@@ -188,6 +204,10 @@ class Kernel
     std::vector<unsigned> load_;
     /** levels_[k]: the CPUs whose load is exactly k. */
     std::vector<CpuMask> levels_;
+    /** The CPUs whose run queue is non-empty. */
+    CpuMask queued_;
+    /** pullable_[c]: the union of the affinities queued on c. */
+    std::vector<CpuMask> pullable_;
 
     sim::PeriodicEvent tick_;
     sim::PeriodicEvent balancer_;

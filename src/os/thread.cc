@@ -33,9 +33,7 @@ Thread::run(const cpu::WorkProfile &profile, double instructions,
 void
 Thread::setAffinity(const CpuMask &mask)
 {
-    if (mask.empty())
-        MS_PANIC("setAffinity with empty mask on ", name_);
-    affinity_ = mask;
+    affinity_ = kernel_.allowedCpus(name_, mask);
     kernel_.onAffinityChanged(this);
 }
 

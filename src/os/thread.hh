@@ -55,7 +55,8 @@ class Thread
     const CpuMask &affinity() const { return affinity_; }
 
     /**
-     * Change the affinity mask. Takes effect at the next scheduling
+     * Change the affinity mask, trimmed to the machine's CPUs (fatal
+     * when none is left). Takes effect at the next scheduling
      * decision; a thread running outside the new mask is migrated at
      * the next preemption point.
      */

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -233,6 +234,198 @@ TEST_F(KernelTest, DeathOnBadHomeNode)
                 ::testing::ExitedWithCode(1), "home node");
 }
 
+TEST_F(KernelTest, SetAffinityTrimsToMachine)
+{
+    Thread *t = kernel_.createThread("t", machine_.allCpus());
+    t->setAffinity(CpuMask::range(6, 300));
+    EXPECT_EQ(t->affinity(), CpuMask::range(6, 7));
+}
+
+TEST_F(KernelTest, DeathOnSetAffinityOffMachine)
+{
+    // A running thread re-placed onto no CPU at all.
+    kernel_.start();
+    Thread *t = kernel_.createThread("t", machine_.allCpus());
+    t->run(profile_, kChunk, [] {});
+    EXPECT_EXIT(t->setAffinity(CpuMask::single(200)),
+                ::testing::ExitedWithCode(1), "affinity");
+    EXPECT_EXIT(t->setAffinity(CpuMask()), ::testing::ExitedWithCode(1),
+                "affinity");
+}
+
+/**
+ * The pull rule on rome128, where CCX k holds CPUs 4k..4k+3 and their
+ * SMT siblings 64+4k..64+4k+3, and node n holds CCXs 4n..4n+3. Long
+ * pinned runners keep the victim CPUs busy, and a one-second timeslice
+ * keeps them from rotating, so every queue holds exactly the threads a
+ * test put there.
+ */
+class KernelPullTest : public ::testing::Test
+{
+  protected:
+    KernelPullTest()
+        : machine_(topo::rome128()),
+          engine_(sim_, machine_),
+          kernel_(sim_, machine_, engine_, params(), 1)
+    {
+        profile_.name = "pull";
+        profile_.ipcBase = 1.0;
+        profile_.branchMpki = 0.0;
+        profile_.icacheMpki = 0.0;
+        profile_.l3Apki = 0.0;
+        kernel_.start();
+    }
+
+    static SchedParams params()
+    {
+        SchedParams sp;
+        sp.timeslice = kSecond;
+        return sp;
+    }
+
+    /** ~0.2ms of work. */
+    static constexpr double kShort = 6e5;
+    /** ~100ms of work. */
+    static constexpr double kLong = 3e8;
+
+    /** Run one item of `work` on a thread pinned to `cpu`. */
+    void pin(CpuId cpu, double work)
+    {
+        kernel_.createThread("pin" + std::to_string(cpu),
+                             CpuMask::single(cpu))
+            ->run(profile_, work, [] {});
+    }
+
+    /**
+     * Queue a short item behind `cpu`'s runner on a thread pinned
+     * there, then widen its mask by `also`. The thread's name goes
+     * into ran_ when it completes.
+     */
+    Thread *queueOn(CpuId cpu, const CpuMask &also, const std::string &name)
+    {
+        Thread *t = kernel_.createThread(name, CpuMask::single(cpu));
+        t->run(profile_, kShort, [this, name] { ran_.push_back(name); });
+        EXPECT_EQ(t->state(), Thread::State::Runnable) << name;
+        if (!also.empty())
+            t->setAffinity(CpuMask::single(cpu) | also);
+        return t;
+    }
+
+    sim::Simulation sim_;
+    topo::Machine machine_;
+    cpu::ExecEngine engine_;
+    Kernel kernel_;
+    cpu::WorkProfile profile_;
+    std::vector<std::string> ran_;
+};
+
+TEST_F(KernelPullTest, CcxBeatsDeeperNodeAndNodeBeatsDeeperMachine)
+{
+    // CPU 0 pulls. CPU 3 shares its CCX, CPU 8 its node, CPU 40 is on
+    // node 2; their queues hold 1, 2 and 3 threads allowed on CPU 0.
+    const CpuMask puller = CpuMask::single(0);
+    pin(0, kShort);
+    for (CpuId c : {3u, 8u, 40u})
+        pin(c, kLong);
+    queueOn(3, puller, "ccx");
+    queueOn(8, puller, "node1");
+    queueOn(8, puller, "node2");
+    queueOn(40, puller, "far1");
+    queueOn(40, puller, "far2");
+    queueOn(40, puller, "far3");
+
+    sim_.runUntil(10 * kMillisecond);
+    const std::vector<std::string> order = {"ccx",  "node1", "node2",
+                                            "far1", "far2",  "far3"};
+    EXPECT_EQ(ran_, order);
+    EXPECT_EQ(kernel_.stats().newIdlePulls, 6u);
+    EXPECT_EQ(kernel_.stats().balancePulls, 0u);
+    for (CpuId c : {3u, 8u, 40u})
+        EXPECT_EQ(kernel_.queueDepth(c), 0u) << "cpu " << c;
+}
+
+TEST_F(KernelPullTest, EqualDepthGoesToLowerCpu)
+{
+    // The higher CPU's queue is built first, so queue age cannot
+    // decide the tie.
+    const CpuMask puller = CpuMask::single(1);
+    pin(1, kShort);
+    pin(66, kLong);
+    pin(2, kLong);
+    queueOn(66, puller, "high");
+    queueOn(2, puller, "low");
+
+    sim_.runUntil(10 * kMillisecond);
+    const std::vector<std::string> order = {"low", "high"};
+    EXPECT_EQ(ran_, order);
+    EXPECT_EQ(kernel_.stats().newIdlePulls, 2u);
+}
+
+TEST_F(KernelPullTest, SkipsQueuesWhoseThreadsExcludeThePuller)
+{
+    // CPU 0 pulls. CPU 1's three queued threads may not run on it, so
+    // the deepest queue is passed over. CPU 3 outranks CPU 2 by depth,
+    // and its first queued thread excludes CPU 0, so the second goes.
+    const CpuMask puller = CpuMask::single(0);
+    pin(0, kShort);
+    for (CpuId c : {1u, 2u, 3u})
+        pin(c, kLong);
+    for (int i = 0; i < 3; ++i)
+        queueOn(1, CpuMask(), "pinned" + std::to_string(i));
+    queueOn(2, puller, "shallow");
+    queueOn(3, CpuMask(), "excluded");
+    queueOn(3, puller, "allowed");
+
+    sim_.runUntil(10 * kMillisecond);
+    const std::vector<std::string> order = {"allowed", "shallow"};
+    EXPECT_EQ(ran_, order);
+    EXPECT_EQ(kernel_.stats().newIdlePulls, 2u);
+    EXPECT_EQ(kernel_.queueDepth(1), 3u);
+    EXPECT_EQ(kernel_.queueDepth(3), 1u);
+}
+
+TEST_F(KernelPullTest, WideningToAnIdleCpuLetsTheBalancerPull)
+{
+    // CPU 40 is idle throughout, so only the balancer can pull for it.
+    pin(5, kLong);
+    Thread *t = queueOn(5, CpuMask(), "widened");
+    sim_.runUntil(kMillisecond);
+    ASSERT_TRUE(kernel_.cpuIdle(40));
+    t->setAffinity(CpuMask::single(5) | CpuMask::single(40));
+    EXPECT_EQ(t->state(), Thread::State::Runnable);
+
+    sim_.runUntil(kMillisecond + kernel_.params().balancePeriod);
+    EXPECT_EQ(kernel_.stats().balancePulls, 1u);
+    EXPECT_EQ(kernel_.stats().newIdlePulls, 0u);
+    EXPECT_EQ(kernel_.queueDepth(5), 0u);
+    EXPECT_EQ(t->ec().lastCpu(), 40u);
+}
+
+TEST_F(KernelPullTest, NarrowingKeepsThreadOffCpu)
+{
+    // CPU 40 goes idle after its short item. CPU 41's queue is the
+    // deeper one, but both its threads were narrowed off CPU 40, so
+    // CPU 40 must take CPU 42's thread instead.
+    const CpuMask puller = CpuMask::single(40);
+    pin(40, kShort);
+    pin(41, kLong);
+    pin(42, kLong);
+    Thread *a = queueOn(41, puller, "narrowed1");
+    Thread *b = queueOn(41, puller, "narrowed2");
+    queueOn(42, puller, "other");
+    a->setAffinity(CpuMask::single(41));
+    b->setAffinity(CpuMask::single(41));
+
+    sim_.runUntil(10 * kMillisecond);
+    const std::vector<std::string> order = {"other"};
+    EXPECT_EQ(ran_, order);
+    EXPECT_EQ(kernel_.stats().newIdlePulls, 1u);
+    EXPECT_EQ(kernel_.queueDepth(41), 2u);
+    sim_.run();
+    EXPECT_EQ(a->ec().lastCpu(), 41u);
+    EXPECT_EQ(b->ec().lastCpu(), 41u);
+}
+
 /**
  * Property: random workloads with random affinities all complete, and
  * every thread only ever runs inside its affinity mask.
@@ -305,11 +498,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KernelProperty,
  * Property: the scheduler's per-CPU load bookkeeping survives a storm
  * of wakes, short-timeslice preemptions and affinity changes. Once the
  * storm drains every CPU reads idle, and a fresh burst of threads is
- * spread one per idle core before any SMT sibling is used.
+ * spread one per idle core before any SMT sibling is used. The storm's
+ * scheduler counters and end time are pinned per machine: a change
+ * that only speeds the scheduler up must reproduce them exactly.
  */
 class KernelStorm : public ::testing::TestWithParam<std::string>
 {
 };
+
+struct StormFingerprint
+{
+    std::uint64_t wakeups;
+    std::uint64_t contextSwitches;
+    std::uint64_t preemptions;
+    std::uint64_t migrations;
+    std::uint64_t ccxMigrations;
+    std::uint64_t balancePulls;
+    std::uint64_t newIdlePulls;
+    Tick end;
+};
+
+const std::map<std::string, StormFingerprint> &
+stormFingerprints()
+{
+    static const std::map<std::string, StormFingerprint> prints = {
+        {"small8", {72, 130, 58, 67, 21, 0, 31, 2022379}},
+        {"server32", {288, 519, 231, 297, 107, 0, 159, 2000525}},
+        {"rome128", {1152, 2377, 1225, 1352, 613, 0, 693, 2621859}},
+    };
+    return prints;
+}
 
 TEST_P(KernelStorm, DrainsIdleThenSpreadsOnePerCore)
 {
@@ -377,6 +595,16 @@ TEST_P(KernelStorm, DrainsIdleThenSpreadsOnePerCore)
     sim.run();
     EXPECT_EQ(completions, static_cast<int>(n) * kRounds);
     EXPECT_GT(kernel.stats().preemptions, 0u);
+    const SchedStats &s = kernel.stats();
+    const StormFingerprint &want = stormFingerprints().at(GetParam());
+    EXPECT_EQ(s.wakeups, want.wakeups);
+    EXPECT_EQ(s.contextSwitches, want.contextSwitches);
+    EXPECT_EQ(s.preemptions, want.preemptions);
+    EXPECT_EQ(s.migrations, want.migrations);
+    EXPECT_EQ(s.ccxMigrations, want.ccxMigrations);
+    EXPECT_EQ(s.balancePulls, want.balancePulls);
+    EXPECT_EQ(s.newIdlePulls, want.newIdlePulls);
+    EXPECT_EQ(sim.now(), want.end);
     for (CpuId c = 0; c < machine.numCpus(); ++c) {
         EXPECT_TRUE(kernel.cpuIdle(c)) << "cpu " << c;
         EXPECT_EQ(kernel.cpuLoad(c), 0u) << "cpu " << c;
@@ -405,7 +633,8 @@ TEST_P(KernelStorm, DrainsIdleThenSpreadsOnePerCore)
 }
 
 INSTANTIATE_TEST_SUITE_P(Machines, KernelStorm,
-                         ::testing::Values("small8", "rome128"));
+                         ::testing::Values("small8", "rome128",
+                                           "server32"));
 
 } // namespace
 } // namespace microscale::os
