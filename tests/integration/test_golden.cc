@@ -2,9 +2,10 @@
  * @file
  * Golden-output byte-equality tests for the engine hot path.
  *
- * Each scenario is a reduced FIG-01/05/12/14/15-style experiment; its
- * RunResult JSON (core::writeJson) must stay byte-identical to the
- * captured golden produced by the pre-refactor engine. These pin the
+ * Each scenario is a reduced FIG-01/05/12/13/14/15/19-style experiment;
+ * its RunResult JSON (core::writeJson) must stay byte-identical to the
+ * captured golden produced by the pre-refactor engine. FIG-13 pins the
+ * elastic runner and FIG-19 the socialnet runner. These pin the
  * event-core refactor: any change to event ordering, RNG draw
  * sequences or histogram accumulation in the default (per-user) mode
  * shows up as a diff here.
@@ -22,6 +23,8 @@
 #include <sstream>
 #include <string>
 
+#include "apps/socialnet/runner.hh"
+#include "autoscale/elastic.hh"
 #include "core/experiment.hh"
 #include "core/json.hh"
 #include "teastore/chaos.hh"
@@ -132,6 +135,48 @@ TEST(Golden, Fig15TraceAttribution)
     c.trace.sampleRate = 1.0;
     const RunResult r = runExperiment(c);
     checkGolden("fig15_trace.json", resultJson(r));
+}
+
+TEST(Golden, Fig13ElasticSpike)
+{
+    // The autoscale smoke scenario: a 200 -> 1200 req/s spike on a
+    // 16-core budget whose initial deployment covers 8 cores.
+    autoscale::ElasticConfig ec;
+    ec.base.machine = topo::rome128();
+    ec.base.cores = 16;
+    ec.base.placement = PlacementKind::CcxAware;
+    ec.base.warmup = 300 * kMillisecond;
+    ec.base.measure = 1200 * kMillisecond;
+    ec.schedule = autoscale::makeSchedule("spike", 200.0, 1200.0,
+                                          ec.base.warmup, ec.base.measure);
+    ec.initialCores = 8;
+    ec.autoscaler.period = 100 * kMillisecond;
+    ec.autoscaler.warmup.registrationDelay = 100 * kMillisecond;
+    ec.autoscaler.warmup.coldWindow = 200 * kMillisecond;
+    ec.autoscaler.scaleOutCooldown = 100 * kMillisecond;
+    ec.autoscaler.scaleInCooldown = 200 * kMillisecond;
+    ec.autoscaler.maxReplicas = 3;
+    const RunResult r = autoscale::runElastic(ec);
+    checkGolden("fig13_elastic.json", resultJson(r));
+}
+
+TEST(Golden, Fig19SocialnetHedged)
+{
+    ExperimentConfig c;
+    c.machine = topo::small8();
+    c.openLoopRps = 150.0;
+    c.warmup = 100 * kMillisecond;
+    c.measure = 300 * kMillisecond;
+    c.trace.enabled = true;
+    c.trace.sampleRate = 1.0;
+    socialnet::RunOptions opts;
+    opts.app.depth = 5;
+    opts.stragglerFactor = 8.0;
+    opts.hedge = true;
+    opts.hedgeDelay = 1200 * kMicrosecond;
+    opts.hedgeBudget = 0.5;
+    const RunResult r = socialnet::runSocialnet(c, opts);
+    checkGolden("fig19_socialnet.json", resultJson(r));
 }
 
 } // namespace
