@@ -379,7 +379,6 @@ main(int argc, char **argv)
     core::ExperimentConfig per_user = benchx::paperConfig();
     core::ExperimentConfig fluid = per_user;
     fluid.load.fluidThreshold = 1; // force fluid mode at any size
-    fluid.app.batchedTiming = true;
     core::ExperimentConfig fluid_big = fluid;
     fluid_big.load.users = fast ? 30'000 : 300'000;
 

@@ -270,7 +270,6 @@ App::App(svc::Mesh &mesh, AppParams params, std::uint64_t seed)
         sp.profile = profile;
         sp.replicas = cfg.replicas;
         sp.workersPerReplica = cfg.workers;
-        sp.batchedTiming = params_.batchedTiming;
         services_.push_back(mesh_.createService(sp));
         return services_.back();
     };

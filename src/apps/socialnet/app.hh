@@ -94,8 +94,6 @@ struct AppParams
     double cacheMissRatio = 0.1;
     /** Global multiplier on all service work budgets (calibration). */
     double workScale = 1.0;
-    /** Forwarded to every service (see ServiceParams::batchedTiming). */
-    bool batchedTiming = false;
 
     /** Sizing by tier (all services of a tier share it). */
     TierConfig frontend{2, 16};

@@ -2,13 +2,12 @@
  * @file
  * End-to-end runner for the socialnet application graph.
  *
- * The TeaStore runner (core::runExperiment) is wired to the
- * TeaStore-typed load generator and demand model; socialnet brings its
- * own open-loop Poisson driver on dedicated RNG streams and fills the
- * same RunResult shape, including the trace attribution (rooted at the
- * socialnet frontend) and the `fanout` summary block. That keeps every
- * lower layer — mesh, overload, tracing, the JSON schema — shared
- * between the two apps without the core runner learning app names.
+ * Runs in the shared core::World with the same window protocol and
+ * harvest as the TeaStore runners (trace attribution rooted at the
+ * socialnet frontend). The loadgen drivers are typed on TeaStore, so
+ * socialnet brings its own open-loop Poisson arrivals on a dedicated
+ * RNG stream, recording into a loadgen::Measurement, and adds the
+ * `fanout` summary block.
  */
 
 #ifndef MICROSCALE_APPS_SOCIALNET_RUNNER_HH
@@ -46,9 +45,10 @@ struct RunOptions
 
 /**
  * Run the socialnet graph under open-loop Poisson load. Uses
- * config.machine/seed/warmup/measure/openLoopRps/net/rpc/sched/trace
- * and config.resilience as the base mesh policy (hedge edges are
- * appended per `opts`); fatal() when config.openLoopRps <= 0.
+ * config.machine/cores/smt/seed/warmup/measure/openLoopRps/net/rpc/
+ * sched/overload/trace/faults and config.resilience as the base mesh
+ * policy (hedge edges are appended per `opts`); fatal() when
+ * config.openLoopRps <= 0.
  */
 core::RunResult runSocialnet(const core::ExperimentConfig &config,
                              const RunOptions &opts);

@@ -2,18 +2,16 @@
  * @file
  * runElastic: one end-to-end elasticity run.
  *
- * Composes the same world as core::runExperiment - machine, kernel,
- * mesh, TeaStore app, placement - then adds the elasticity pieces: an
- * open-loop driver following a LoadSchedule (non-homogeneous Poisson
- * arrivals) and an Autoscaler control loop actuating the Service
- * elasticity hooks. The harvest mirrors runExperiment so results are
- * directly comparable; on top it fills RunResult::elastic with the
- * FIG-13 metrics (SLO-violation seconds, core-seconds granted,
+ * Runs the same core::TeaStoreRun as core::runExperiment - machine,
+ * kernel, mesh, TeaStore app, placement, harvest - with an open-loop
+ * driver following a LoadSchedule (non-homogeneous Poisson arrivals),
+ * and adds an Autoscaler control loop actuating the Service elasticity
+ * hooks. On top of the shared harvest it fills RunResult::elastic with
+ * the FIG-13 metrics (SLO-violation seconds, core-seconds granted,
  * scale-out lag, peak replicas).
  *
  * Lives in src/autoscale (not core) so core never depends on the
- * autoscaler; the composition/harvest sequence intentionally mirrors
- * core/experiment.cc - keep the two in sync.
+ * autoscaler.
  */
 
 #ifndef MICROSCALE_AUTOSCALE_ELASTIC_HH
@@ -30,9 +28,10 @@ namespace microscale::autoscale
 struct ElasticConfig
 {
     /**
-     * Base world configuration. The load schedule below replaces the
-     * closed-loop/openLoopRps drivers; placement/sizing describe the
-     * initial deployment the autoscaler starts from.
+     * Base world configuration. The load schedule below replaces
+     * openLoopRps/loadSchedule and the closed-loop driver;
+     * placement/sizing describe the initial deployment the autoscaler
+     * starts from.
      */
     core::ExperimentConfig base;
 

@@ -403,7 +403,6 @@ Cluster::buildDataTier()
         sp.profile = teastore::persistenceProfile();
         sp.replicas = 1;
         sp.workersPerReplica = params_.cacheWorkers;
-        sp.batchedTiming = app_.params().batchedTiming;
         svc::Service *s = mesh_.createService(sp);
         const unsigned node = i % active_nodes_;
         s->setReplicaPlacement(0, node_budgets_[node], kInvalidNode);
@@ -431,7 +430,6 @@ Cluster::createShard(unsigned idx, unsigned node)
     sp.profile = teastore::persistenceProfile();
     sp.replicas = 1;
     sp.workersPerReplica = params_.shardWorkers;
-    sp.batchedTiming = app_.params().batchedTiming;
     svc::Service *s = mesh_.createService(sp);
     s->setReplicaPlacement(0, node_budgets_[node], kInvalidNode);
     s->setReplicaClusterNode(0, static_cast<int>(node));

@@ -493,24 +493,6 @@ struct RunResult
 RunResult runExperiment(const ExperimentConfig &config);
 
 /**
- * Fill result.overload (and the resilience summary's rejectedCount)
- * from a finished run. Shared by runExperiment and
- * autoscale::runElastic so the two runners stay in sync.
- */
-void harvestOverload(const ExperimentConfig &config, teastore::App &app,
-                     const loadgen::Measurement &measurement,
-                     const svc::BrownoutController *brownout,
-                     RunResult &result);
-
-/**
- * Fill result.trace from a finished run's mesh: critical-path
- * attribution of sampled root requests completing inside
- * [windowStart, windowEnd). No-op when tracing was off.
- */
-void harvestTrace(const ExperimentConfig &config, const svc::Mesh &mesh,
-                  Tick windowStart, Tick windowEnd, RunResult &result);
-
-/**
  * Measure per-service demand shares with a short OsDefault run of the
  * given configuration (placement/duration overridden internally).
  */

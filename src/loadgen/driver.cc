@@ -12,6 +12,8 @@ namespace microscale::loadgen
 
 using teastore::OpType;
 
+Measurement::Measurement(unsigned numOps) : per_op_(numOps) {}
+
 void
 Measurement::setWindow(Tick start, Tick end)
 {
@@ -22,13 +24,7 @@ Measurement::setWindow(Tick start, Tick end)
 }
 
 void
-Measurement::record(OpType op, Tick issued, Tick completed)
-{
-    record(op, issued, completed, svc::Status::Ok, false);
-}
-
-void
-Measurement::record(OpType op, Tick issued, Tick completed,
+Measurement::record(unsigned op, Tick issued, Tick completed,
                     svc::Status status, bool degraded)
 {
     if (completed < start_ || completed >= end_)
@@ -41,8 +37,7 @@ Measurement::record(OpType op, Tick issued, Tick completed,
         ++degraded_;
     const double lat = static_cast<double>(completed - issued);
     latency_.add(lat);
-    per_op_[static_cast<unsigned>(op)].add(lat);
-    ++per_op_count_[static_cast<unsigned>(op)];
+    per_op_[op].add(lat);
 }
 
 double
@@ -218,7 +213,8 @@ ClosedLoopDriver::onFluidResponse(OpType op, Tick issued_at,
                                   svc::Status status, bool degraded)
 {
     auto &sim = app_.mesh().kernel().sim();
-    measurement_.record(op, issued_at, sim.now(), status, degraded);
+    measurement_.record(static_cast<unsigned>(op), issued_at, sim.now(),
+                        status, degraded);
     --fluid_->inflight;
     if (stopped_)
         return;
@@ -275,7 +271,8 @@ ClosedLoopDriver::onResponse(std::size_t user_index, OpType op,
                              bool degraded)
 {
     auto &sim = app_.mesh().kernel().sim();
-    measurement_.record(op, issued_at, sim.now(), status, degraded);
+    measurement_.record(static_cast<unsigned>(op), issued_at, sim.now(),
+                        status, degraded);
     if (stopped_)
         return;
     User &user = *users_[user_index];
@@ -312,15 +309,6 @@ OpenLoopDriver::OpenLoopDriver(teastore::App &app, BrowseMix mix,
     } else if (params_.schedule.peakRate() <= 0.0) {
         fatal("open-loop schedule needs a positive peak rate");
     }
-    if (params_.batchedArrivals && params_.schedule.empty()) {
-        // Fixed-rate gaps come pre-drawn in blocks from their own
-        // stream; op and payload draws stay on rng_, so the two
-        // consumers never interleave on one engine.
-        gap_rng_ = std::make_unique<Rng>(seed, "loadgen.openloop.gaps");
-        gaps_ = std::make_unique<SampleBatch>(
-            *gap_rng_, SampleBatch::Kind::Exponential,
-            static_cast<double>(kSecond) / params_.arrivalRps);
-    }
 }
 
 void
@@ -349,8 +337,7 @@ OpenLoopDriver::scheduleNext()
     if (params_.schedule.empty()) {
         const double mean_gap_ns =
             static_cast<double>(kSecond) / params_.arrivalRps;
-        const double gap =
-            gaps_ ? gaps_->next() : rng_.exponential(mean_gap_ns);
+        const double gap = rng_.exponential(mean_gap_ns);
         sim.scheduleAfter(
             std::max<Tick>(1, static_cast<Tick>(std::llround(gap))),
             [this] { arrival(); });
@@ -396,7 +383,7 @@ OpenLoopDriver::arrival()
             --in_flight_;
             if (params_.ledger)
                 params_.ledger->close(lid, status);
-            measurement_.record(op, issued_at,
+            measurement_.record(static_cast<unsigned>(op), issued_at,
                                 app_.mesh().kernel().sim().now(),
                                 status, resp.degraded);
         });

@@ -34,26 +34,35 @@ class RequestLedger;
 namespace microscale::loadgen
 {
 
-/** Latency/throughput results collected in the measurement window. */
+/**
+ * Latency/throughput results collected in the measurement window, per
+ * op number (an app's op enum values, 0 to numOps - 1).
+ */
 class Measurement
 {
   public:
+    explicit Measurement(unsigned numOps);
+
     /** Define the window [start, end). */
     void setWindow(Tick start, Tick end);
 
     Tick windowStart() const { return start_; }
     Tick windowEnd() const { return end_; }
 
-    /** Record one successful completed request. */
-    void record(teastore::OpType op, Tick issued, Tick completed);
-
     /**
      * Record one response with its outcome. Latency histograms and
      * per-op counts cover OK responses only; failures contribute to
      * completed() and the status counters.
      */
-    void record(teastore::OpType op, Tick issued, Tick completed,
-                svc::Status status, bool degraded);
+    void record(unsigned op, Tick issued, Tick completed,
+                svc::Status status = svc::Status::Ok,
+                bool degraded = false);
+
+    /** Ops this measurement keeps a histogram for. */
+    unsigned numOps() const
+    {
+        return static_cast<unsigned>(per_op_.size());
+    }
 
     /** Responses inside the window (any status). */
     std::uint64_t completed() const { return completed_; }
@@ -80,15 +89,15 @@ class Measurement
     const QuantileHistogram &latencyNs() const { return latency_; }
 
     /** Per-op latency distribution, in ns. */
-    const QuantileHistogram &latencyNsFor(teastore::OpType op) const
+    const QuantileHistogram &latencyNsFor(unsigned op) const
     {
-        return per_op_[static_cast<unsigned>(op)];
+        return per_op_[op];
     }
 
-    /** Per-op completion count. */
-    std::uint64_t completedFor(teastore::OpType op) const
+    /** Per-op OK completion count. */
+    std::uint64_t completedFor(unsigned op) const
     {
-        return per_op_count_[static_cast<unsigned>(op)];
+        return per_op_[op].count();
     }
 
   private:
@@ -96,8 +105,7 @@ class Measurement
     Tick end_ = kTickNever;
     std::uint64_t completed_ = 0;
     QuantileHistogram latency_;
-    std::array<QuantileHistogram, teastore::kNumOps> per_op_;
-    std::array<std::uint64_t, teastore::kNumOps> per_op_count_{};
+    std::vector<QuantileHistogram> per_op_;
     std::array<std::uint64_t, svc::kNumStatuses> status_counts_{};
     std::uint64_t degraded_ = 0;
 };
@@ -245,7 +253,7 @@ class ClosedLoopDriver
     ClosedLoopParams params_;
     std::vector<std::unique_ptr<User>> users_;
     std::unique_ptr<FluidState> fluid_;
-    Measurement measurement_;
+    Measurement measurement_{teastore::kNumOps};
     std::uint64_t issued_ = 0;
     bool stopped_ = false;
     bool started_ = false;
@@ -264,14 +272,6 @@ struct OpenLoopParams
     LoadSchedule schedule;
     /** When set, every arrival tick is appended (determinism tests). */
     std::vector<Tick> *arrivalLog = nullptr;
-    /**
-     * Draw fixed-rate inter-arrival gaps in batches from a dedicated
-     * RNG stream instead of one-at-a-time from the shared driver
-     * stream. Opt-in: the arrival times differ from the legacy stream
-     * (a different but equally valid Poisson process), so the default
-     * stays bit-identical.
-     */
-    bool batchedArrivals = false;
     /** Request-conservation ledger; see ClosedLoopParams::ledger. */
     chaos::RequestLedger *ledger = nullptr;
 };
@@ -310,10 +310,7 @@ class OpenLoopDriver
     BrowseMix mix_;
     OpenLoopParams params_;
     Rng rng_;
-    /** Batched-arrival state (only with params_.batchedArrivals). */
-    std::unique_ptr<Rng> gap_rng_;
-    std::unique_ptr<SampleBatch> gaps_;
-    Measurement measurement_;
+    Measurement measurement_{teastore::kNumOps};
     std::uint64_t issued_ = 0;
     std::uint64_t in_flight_ = 0;
     bool stopped_ = false;

@@ -76,12 +76,8 @@ HandlerCtx::computeProfile(const cpu::WorkProfile &profile,
     actual *= rep.slowFactor;
     if (rep.coldUntil != 0)
         actual *= service_.coldComputeFactor(worker_.replica, now());
-    if (service_.params_.computeCv > 0.0 && actual > 0.0) {
-        if (service_.timing_batch_)
-            actual *= service_.timing_batch_->next();
-        else
-            actual = rng().lognormal(actual, service_.params_.computeCv);
-    }
+    if (service_.params_.computeCv > 0.0 && actual > 0.0)
+        actual = rng().lognormal(actual, service_.params_.computeCv);
     if (actual <= 0.0) {
         // Degenerate budget: continue without occupying a CPU.
         service_.mesh_.kernel().sim().scheduleAfter(1, std::move(next));
@@ -376,13 +372,6 @@ Service::Service(Mesh &mesh, ServiceParams params)
         fatal("service '", params_.name,
               "' needs at least one replica and worker");
     params_.profile.validate();
-    if (params_.batchedTiming && params_.computeCv > 0.0) {
-        timing_rng_ = std::make_unique<Rng>(
-            mesh.seed(), "svc." + params_.name + ".timing");
-        timing_batch_ = std::make_unique<SampleBatch>(
-            *timing_rng_, SampleBatch::Kind::LognormalUnit,
-            params_.computeCv);
-    }
 
     replicas_.resize(params_.replicas);
     for (unsigned r = 0; r < params_.replicas; ++r)

@@ -63,14 +63,6 @@ struct ServiceParams
     unsigned workersPerReplica = 16;
     /** Coefficient of variation applied to compute() budgets. */
     double computeCv = 0.15;
-    /**
-     * Draw compute-time jitter in batches of unit-mean lognormals
-     * from a dedicated stream (scaled by each request's budget)
-     * instead of a fresh scalar lognormal per request from the shared
-     * service stream. Opt-in: the jitter sequence differs from the
-     * legacy stream, so the default stays bit-identical.
-     */
-    bool batchedTiming = false;
 };
 
 /**
@@ -612,9 +604,6 @@ class Service
     Mesh &mesh_;
     ServiceParams params_;
     Rng rng_;
-    /** Batched-timing state (only with params_.batchedTiming). */
-    std::unique_ptr<Rng> timing_rng_;
-    std::unique_ptr<SampleBatch> timing_batch_;
     std::map<std::string, std::function<void(HandlerCtx &)>> ops_;
     /** Deque: HandlerCtx holds Worker&, so runtime scale-out must not
      * relocate existing workers. */

@@ -109,7 +109,6 @@ App::App(svc::Mesh &mesh, AppParams params, std::uint64_t seed)
         sp.profile = profile;
         sp.replicas = cfg.replicas;
         sp.workersPerReplica = cfg.workers;
-        sp.batchedTiming = params_.batchedTiming;
         return mesh_.createService(sp);
     };
 

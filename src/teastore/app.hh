@@ -74,9 +74,6 @@ struct AppParams
     /** Global multiplier on all service work budgets (calibration). */
     double workScale = 1.0;
 
-    /** Forwarded to every service (see ServiceParams::batchedTiming). */
-    bool batchedTiming = false;
-
     /** Products per category page. */
     unsigned pageSize = 20;
 

@@ -3,7 +3,8 @@
  * Tests for the autoscale subsystem: name lookups, the three scaling
  * policy families, the replica placer's capacity accounting, the
  * canonical schedule factory, and an end-to-end runElastic smoke run
- * including determinism across repeated and parallel sweeps.
+ * including its input checks, the gray-failure block and determinism
+ * across repeated and parallel sweeps.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "autoscale/policy.hh"
 #include "core/json.hh"
 #include "core/sweep.hh"
+#include "teastore/chaos.hh"
 #include "topo/presets.hh"
 
 namespace microscale::autoscale
@@ -300,6 +302,43 @@ TEST(RunElastic, TimelineRecordsEveryControlInterval)
         EXPECT_EQ(interval.front().service, "webui");
         EXPECT_EQ(interval.back().service, "image");
     }
+}
+
+TEST(RunElastic, ReportsGrayFailures)
+{
+    // Outlier ejection plus a gray fault: the elastic run reports the
+    // gray-failure block like the fixed-rate runner does.
+    ElasticConfig ec = smokeConfig();
+    ec.base.resilience = teastore::ejectionPolicy();
+    ec.base.faults = teastore::makeGrayScript(
+        teastore::GrayScenario::SlowPersistence, ec.base.warmup,
+        ec.base.measure);
+    const core::RunResult r = runElastic(ec);
+    ASSERT_TRUE(r.grayfail.active);
+    EXPECT_TRUE(r.grayfail.ejectionEnabled);
+    EXPECT_EQ(r.grayfail.faultsApplied + r.grayfail.faultsSkipped,
+              ec.base.faults.events.size());
+    EXPECT_GT(r.grayfail.faultsApplied, 0u);
+}
+
+TEST(RunElasticDeathTest, RejectsAnInitialFootprintOutsideTheBudget)
+{
+    ElasticConfig ec = smokeConfig();
+    ec.initialCores = 32; // the budget is 16 cores
+    EXPECT_EXIT(runElastic(ec), ::testing::ExitedWithCode(1),
+                "initialCores exceeds the CPU budget");
+}
+
+TEST(RunElasticDeathTest, RejectsSchedulesWithoutLoad)
+{
+    // Neither falls back to the closed-loop driver.
+    ElasticConfig ec = smokeConfig();
+    ec.schedule = loadgen::LoadSchedule();
+    EXPECT_EXIT(runElastic(ec), ::testing::ExitedWithCode(1),
+                "non-empty load schedule");
+    ec.schedule.addPoint(0, 0.0);
+    EXPECT_EXIT(runElastic(ec), ::testing::ExitedWithCode(1),
+                "positive peak rate");
 }
 
 TEST(RunElastic, DeterministicAcrossRepeatedRuns)
