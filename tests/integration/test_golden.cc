@@ -5,7 +5,9 @@
  * Each scenario is a reduced FIG-01/05/12/13/14/15/19-style experiment;
  * its RunResult JSON (core::writeJson) must stay byte-identical to the
  * captured golden produced by the pre-refactor engine. FIG-13 pins the
- * elastic runner and FIG-19 the socialnet runner. These pin the
+ * elastic runner and FIG-19 the socialnet runner. EveryBlockWriter
+ * pins the writer itself on a synthetic result with every gated
+ * block active. These pin the
  * event-core refactor: any change to event ordering, RNG draw
  * sequences or histogram accumulation in the default (per-user) mode
  * shows up as a diff here.
@@ -25,6 +27,7 @@
 
 #include "apps/socialnet/runner.hh"
 #include "autoscale/elastic.hh"
+#include "core/every_block.hh"
 #include "core/experiment.hh"
 #include "core/json.hh"
 #include "teastore/chaos.hh"
@@ -177,6 +180,13 @@ TEST(Golden, Fig19SocialnetHedged)
     opts.hedgeBudget = 0.5;
     const RunResult r = socialnet::runSocialnet(c, opts);
     checkGolden("fig19_socialnet.json", resultJson(r));
+}
+
+TEST(Golden, EveryBlockWriter)
+{
+    // No simulated golden writes grayfail, replication, fabric_ms, a
+    // null or an integer past 2^53; this one writes them all.
+    checkGolden("every_block.json", resultJson(everyBlockResult()));
 }
 
 } // namespace
