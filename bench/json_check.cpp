@@ -11,48 +11,21 @@
  * schema_version, the v3 speed stamps (finite non-negative
  * wall_seconds and events_processed), a points array of at least
  * MIN_POINTS entries each carrying a label and a result with a
- * numeric throughput_rps, and a non-empty tables array. Any LABEL arguments must appear among the
- * point labels. Points carrying an "elastic" block (FIG-13) have it
- * validated - non-empty schedule/policy/placer names, finite
- * non-negative SLO-violation seconds, core-seconds and steady-state
- * CPUs - and --elastic additionally requires every point to carry
- * one. Points carrying an "overload" block (FIG-14) have its shed
- * counts, limiter trajectory and brownout duty cycle validated
- * (finite, non-negative, duty cycle and dimmer within [0, 1]);
- * --overload requires at least one point to carry the block (the
- * unprotected baseline arms legitimately lack it). Points carrying a
- * "trace" block (FIG-15) have its attribution validated - every
- * component finite and non-negative, and the per-service components
- * plus the unattributed residue summing to the mean end-to-end
- * latency within 0.1% - and --trace requires every point to carry
- * one. Points carrying a "grayfail" block (FIG-16) have its ejection
- * and transport counters validated (numeric, finite, non-negative,
- * ejection_enabled a 0/1 flag, ejected_at_end never exceeding the
- * ejection count) and --grayfail requires every point to carry one.
- * Points carrying a "scaleout" block (FIG-17) have its fabric, cache,
- * shard and node-scaler counters validated (numeric, finite,
- * non-negative, at least one node, active_nodes_end and the
- * share/hit-rate ratios within range) and --scaleout requires every
- * point to carry one. Points carrying a "replication" block (FIG-18)
- * have its quorum, hinted-handoff and rebalance counters validated
- * (numeric, finite, non-negative, quorums within [1, factor],
- * replayed hints never exceeding queued ones, completed rebalances
- * never exceeding started ones) plus the correctness invariants: the
- * lost-acked-write and stale-quorum-read counters must be zero, and
- * when the post-drain sweep ran (consistency_checked = 1) the block
- * is a proof the run kept every acknowledged write quorum-readable.
- * --replication requires at least one point to carry the block and
- * every carried block to have consistency_checked = 1 (the R=1
- * baseline arms legitimately lack the block entirely). Points
- * carrying a "fanout" block (FIG-19) have its graph shape, hedge
- * configuration and hedge counters validated (numeric, finite,
- * non-negative, hedged a 0/1 flag, wins/cancellations never exceeding
- * launched hedges, no hedges on unhedged points) and --fanout
- * requires every point to carry one.
- * Independently of any flag, every number in the document must
- * be finite: the writer emits null for NaN/Inf, so a raw non-finite
- * literal (or a null where a metric belongs) fails the check. Exits
- * non-zero with a diagnostic on the first violation.
+ * positive throughput_rps, and a non-empty tables array. Any LABEL
+ * arguments must appear among the point labels. Every point's result
+ * must pass core::checkResultJson, which walks the same field list the
+ * writer prints: present, numeric, finite and bounded fields for each
+ * block the result carries, plus the cross-field relations (trace
+ * attribution sums, quorum sizes, zero lost acked writes and stale
+ * quorum reads, hedge counts). A block flag requires its block on
+ * every point, or for --overload and --replication on at least one
+ * (their baseline arms legitimately lack it); --replication also
+ * requires every replication block to have consistency_checked = 1,
+ * i.e. the post-drain sweep ran. Independently of any flag, every
+ * number in the document must be finite: the writer emits null for
+ * NaN/Inf, so a raw non-finite literal (or a null where a metric
+ * belongs) fails the check. Exits non-zero with a diagnostic on the
+ * first violation.
  */
 
 #include <cmath>
@@ -62,6 +35,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common.hh"
 #include "core/json.hh"
@@ -78,317 +52,18 @@ die(const std::string &what)
     std::exit(1);
 }
 
-/**
- * Validate one point's "elastic" block: the FIG-13 metrics must be
- * present, the right type, and finite (a NaN means an accounting
- * window never saw a sample - a broken run, not a quiet one).
- */
-void
-checkElastic(const std::string &path, const std::string &label,
-             const core::JsonValue &elastic)
+/** --<block> requires the block on every point, or on at least one. */
+struct BlockFlag
 {
-    const std::string where = path + ": point '" + label + "' elastic: ";
-    for (const char *key : {"schedule", "policy", "placer"}) {
-        const core::JsonValue *s = elastic.find(key);
-        if (!s || !s->isString() || s->stringValue.empty())
-            die(where + "missing or empty '" + key + "'");
-    }
-    for (const char *key :
-         {"offered_mean_rps", "offered_peak_rps", "slo_p99_ms",
-          "slo_violation_seconds", "core_seconds_granted",
-          "steady_state_cpus", "scale_out_lag_mean_ms", "scale_outs",
-          "scale_ins"}) {
-        const core::JsonValue *n = elastic.find(key);
-        if (!n || !n->isNumber())
-            die(where + "missing or non-numeric '" + key + "'");
-        if (!std::isfinite(n->numberValue))
-            die(where + "'" + key + "' is not finite");
-        if (n->numberValue < 0)
-            die(where + "'" + key + "' is negative");
-    }
-}
+    const char *block;
+    bool everyPoint;
+};
 
-/**
- * Validate one point's "overload" block (FIG-14): the admission name,
- * the per-tier shed counters, the concurrency-limit trajectory and
- * the brownout telemetry must be present, numeric, finite and
- * non-negative, with the duty cycle and dimmers inside [0, 1].
- */
-void
-checkOverload(const std::string &path, const std::string &label,
-              const core::JsonValue &overload)
-{
-    const std::string where = path + ": point '" + label + "' overload: ";
-    const core::JsonValue *adm = overload.find("admission");
-    if (!adm || !adm->isString() || adm->stringValue.empty())
-        die(where + "missing or empty 'admission'");
-    for (const char *key :
-         {"codel", "adaptive_lifo", "criticality_aware", "brownout",
-          "shed_critical", "shed_normal", "shed_sheddable",
-          "codel_drops", "lifo_dequeues", "rejected_total",
-          "limit_initial", "limit_min", "limit_max", "limit_final",
-          "brownout_duty_cycle", "dimmer_min", "dimmer_final",
-          "brownout_skips"}) {
-        const core::JsonValue *n = overload.find(key);
-        if (!n || !n->isNumber())
-            die(where + "missing or non-numeric '" + key + "'");
-        if (!std::isfinite(n->numberValue))
-            die(where + "'" + key + "' is not finite");
-        if (n->numberValue < 0)
-            die(where + "'" + key + "' is negative");
-    }
-    for (const char *key :
-         {"brownout_duty_cycle", "dimmer_min", "dimmer_final"}) {
-        if (overload.at(key).numberValue > 1.0)
-            die(where + "'" + std::string(key) + "' exceeds 1");
-    }
-}
-
-/**
- * Validate one point's "trace" block (FIG-15): counters and the
- * per-service attribution must be numeric, finite and non-negative,
- * and the attribution must account for the end-to-end latency: the
- * sum of every service component plus unattributed_ms must equal
- * mean_e2e_ms within 0.1% (the partition is exact by construction;
- * the tolerance only absorbs double rounding).
- */
-void
-checkTrace(const std::string &path, const std::string &label,
-           const core::JsonValue &trace)
-{
-    const std::string where = path + ": point '" + label + "' trace: ";
-    for (const char *key :
-         {"sample_rate", "roots_seen", "traces_sampled",
-          "traces_analyzed", "spans", "mean_e2e_ms"}) {
-        const core::JsonValue *n = trace.find(key);
-        if (!n || !n->isNumber())
-            die(where + "missing or non-numeric '" + key + "'");
-        if (!std::isfinite(n->numberValue) || n->numberValue < 0)
-            die(where + "'" + key + "' is not finite/non-negative");
-    }
-    const core::JsonValue *un = trace.find("unattributed_ms");
-    if (!un || !un->isNumber() || !std::isfinite(un->numberValue))
-        die(where + "missing or non-finite 'unattributed_ms'");
-    const core::JsonValue *att = trace.find("attribution");
-    if (!att || !att->isObject())
-        die(where + "missing 'attribution' object");
-    if (trace.at("traces_analyzed").numberValue == 0)
-        return; // nothing completed in the window; sums are vacuous
-    double total = un->numberValue;
-    for (const auto &[svc_name, a] : att->members) {
-        for (const char *key :
-             {"queue_ms", "compute_ms", "stall_ms", "fanout_wait_ms",
-              "retry_backoff_ms", "shed_ms", "network_ms", "total_ms"}) {
-            const core::JsonValue *n = a.find(key);
-            if (!n || !n->isNumber())
-                die(where + "service '" + svc_name +
-                    "' missing or non-numeric '" + key + "'");
-            if (!std::isfinite(n->numberValue) || n->numberValue < 0)
-                die(where + "service '" + svc_name + "' '" + key +
-                    "' is not finite/non-negative");
-        }
-        total += a.at("queue_ms").numberValue +
-                 a.at("compute_ms").numberValue +
-                 a.at("stall_ms").numberValue +
-                 a.at("fanout_wait_ms").numberValue +
-                 a.at("retry_backoff_ms").numberValue +
-                 a.at("shed_ms").numberValue +
-                 a.at("network_ms").numberValue;
-    }
-    const double e2e = trace.at("mean_e2e_ms").numberValue;
-    const double tol = std::max(1e-6, e2e * 1e-3);
-    if (std::abs(total - e2e) > tol) {
-        die(where + "attribution sums to " + std::to_string(total) +
-            " ms but mean_e2e_ms is " + std::to_string(e2e));
-    }
-}
-
-/**
- * Validate one point's "grayfail" block (FIG-16): the ejection and
- * transport counters must be numeric, finite and non-negative,
- * ejection_enabled must be a 0/1 flag, and replicas still ejected at
- * the end can never exceed the ejections that happened.
- */
-void
-checkGrayFail(const std::string &path, const std::string &label,
-              const core::JsonValue &grayfail)
-{
-    const std::string where = path + ": point '" + label + "' grayfail: ";
-    for (const char *key :
-         {"ejection_enabled", "ejections", "unejections",
-          "ejections_denied", "ejected_at_end", "packets_dropped",
-          "packets_duplicated", "packets_blackholed", "faults_applied",
-          "faults_skipped"}) {
-        const core::JsonValue *n = grayfail.find(key);
-        if (!n || !n->isNumber())
-            die(where + "missing or non-numeric '" + key + "'");
-        if (!std::isfinite(n->numberValue))
-            die(where + "'" + key + "' is not finite");
-        if (n->numberValue < 0)
-            die(where + "'" + key + "' is negative");
-    }
-    const double enabled = grayfail.at("ejection_enabled").numberValue;
-    if (enabled != 0.0 && enabled != 1.0)
-        die(where + "'ejection_enabled' is not 0/1");
-    if (grayfail.at("ejected_at_end").numberValue >
-        grayfail.at("ejections").numberValue)
-        die(where + "'ejected_at_end' exceeds 'ejections'");
-}
-
-/**
- * Validate one point's "scaleout" block (FIG-17): cluster shape,
- * fabric accounting, cache-tier counters and node-scaler telemetry
- * must be numeric, finite and non-negative, with the ratio metrics
- * (fabric_share, cache_hit_rate) inside [0, 1] and the active node
- * count inside the provisioned pool.
- */
-void
-checkScaleout(const std::string &path, const std::string &label,
-              const core::JsonValue &scaleout)
-{
-    const std::string where = path + ": point '" + label + "' scaleout: ";
-    for (const char *key :
-         {"nodes", "active_nodes_end", "shards", "cache_nodes",
-          "fabric_messages", "fabric_bytes", "fabric_share",
-          "cache_hits", "cache_misses", "cache_invalidations",
-          "cache_evictions", "cache_hit_rate", "shard_requests",
-          "shard_load_cv", "nodes_provisioned", "warm_provisions",
-          "cold_provisions", "provision_lag_mean_ms"}) {
-        const core::JsonValue *n = scaleout.find(key);
-        if (!n || !n->isNumber())
-            die(where + "missing or non-numeric '" + key + "'");
-        if (!std::isfinite(n->numberValue))
-            die(where + "'" + key + "' is not finite");
-        if (n->numberValue < 0)
-            die(where + "'" + key + "' is negative");
-    }
-    if (scaleout.at("nodes").numberValue < 1)
-        die(where + "cluster reports no nodes");
-    if (scaleout.at("active_nodes_end").numberValue < 1 ||
-        scaleout.at("active_nodes_end").numberValue >
-            scaleout.at("nodes").numberValue)
-        die(where + "'active_nodes_end' outside [1, nodes]");
-    for (const char *key : {"fabric_share", "cache_hit_rate"}) {
-        if (scaleout.at(key).numberValue > 1.0)
-            die(where + "'" + std::string(key) + "' exceeds 1");
-    }
-    // Warm and cold provisions partition the provision count.
-    if (scaleout.at("warm_provisions").numberValue +
-            scaleout.at("cold_provisions").numberValue !=
-        scaleout.at("nodes_provisioned").numberValue)
-        die(where + "warm+cold provisions != nodes_provisioned");
-}
-
-/**
- * Validate one point's "replication" block (FIG-18): the quorum
- * write/read, hinted-handoff and rebalance counters must be numeric,
- * finite and non-negative with the internal orderings intact, and the
- * two violation counters must be zero — a run that lost an
- * acknowledged write or served a stale quorum read must never pass
- * CI. With `require_checked` (--replication) the post-drain
- * consistency sweep must actually have run.
- */
-void
-checkReplication(const std::string &path, const std::string &label,
-                 const core::JsonValue &replication, bool require_checked)
-{
-    const std::string where =
-        path + ": point '" + label + "' replication: ";
-    for (const char *key :
-         {"factor", "write_quorum", "read_quorum", "quorum_writes",
-          "write_failures", "write_ack_p50_ms", "write_ack_p99_ms",
-          "quorum_reads", "read_failures", "read_repairs",
-          "read_refetches", "read_p50_ms", "read_p99_ms",
-          "hints_queued", "hints_replayed", "hints_dropped",
-          "hint_depth_peak", "rebalances_started",
-          "rebalances_completed", "rebalance_batches",
-          "rebalance_bytes", "dual_reads", "rebalance_ms_total",
-          "consistency_checked", "acked_writes", "lost_acked_writes",
-          "stale_quorum_reads"}) {
-        const core::JsonValue *n = replication.find(key);
-        if (!n || !n->isNumber())
-            die(where + "missing or non-numeric '" + key + "'");
-        if (!std::isfinite(n->numberValue))
-            die(where + "'" + key + "' is not finite");
-        if (n->numberValue < 0)
-            die(where + "'" + key + "' is negative");
-    }
-    const double factor = replication.at("factor").numberValue;
-    if (factor < 2)
-        die(where + "block present but factor < 2");
-    for (const char *key : {"write_quorum", "read_quorum"}) {
-        const double q = replication.at(key).numberValue;
-        if (q < 1 || q > factor)
-            die(where + "'" + std::string(key) +
-                "' outside [1, factor]");
-    }
-    if (replication.at("hints_replayed").numberValue >
-        replication.at("hints_queued").numberValue)
-        die(where + "'hints_replayed' exceeds 'hints_queued'");
-    if (replication.at("rebalances_completed").numberValue >
-        replication.at("rebalances_started").numberValue)
-        die(where + "'rebalances_completed' exceeds "
-                    "'rebalances_started'");
-    const double checked =
-        replication.at("consistency_checked").numberValue;
-    if (checked != 0.0 && checked != 1.0)
-        die(where + "'consistency_checked' is not 0/1");
-    if (require_checked && checked != 1.0)
-        die(where + "consistency sweep did not run (--replication)");
-    // The invariants themselves: no acknowledged write may be lost
-    // and no quorum read may have returned stale data.
-    if (replication.at("lost_acked_writes").numberValue != 0.0)
-        die(where + "lost acked writes reported");
-    if (replication.at("stale_quorum_reads").numberValue != 0.0)
-        die(where + "stale quorum reads reported");
-}
-
-/**
- * Validate one point's "fanout" block (FIG-19): the graph shape, the
- * hedge configuration and the hedge counters must be numeric, finite
- * and non-negative, the graph non-trivial (depth and services at
- * least 1), hedged a 0/1 flag, and the counter orderings intact: wins
- * and cancellations can never exceed the hedges actually launched,
- * and the hedge share must stay within [0, 1] relative slack of
- * launched/first_attempts.
- */
-void
-checkFanout(const std::string &path, const std::string &label,
-            const core::JsonValue &fanout)
-{
-    const std::string where = path + ": point '" + label + "' fanout: ";
-    const core::JsonValue *app = fanout.find("app");
-    if (!app || !app->isString() || app->stringValue.empty())
-        die(where + "missing or empty 'app'");
-    for (const char *key :
-         {"depth", "services", "fan_width", "hedged", "hedge_delay_ms",
-          "hedge_quantile", "hedge_budget_ratio", "first_attempts",
-          "hedges_launched", "hedge_wins", "hedges_denied",
-          "hedges_cancelled", "hedge_share", "p50_ms", "p99_ms",
-          "amplification"}) {
-        const core::JsonValue *n = fanout.find(key);
-        if (!n || !n->isNumber())
-            die(where + "missing or non-numeric '" + key + "'");
-        if (!std::isfinite(n->numberValue))
-            die(where + "'" + key + "' is not finite");
-        if (n->numberValue < 0)
-            die(where + "'" + key + "' is negative");
-    }
-    if (fanout.at("depth").numberValue < 1)
-        die(where + "'depth' is below 1");
-    if (fanout.at("services").numberValue < 1)
-        die(where + "'services' is below 1");
-    const double hedged = fanout.at("hedged").numberValue;
-    if (hedged != 0.0 && hedged != 1.0)
-        die(where + "'hedged' is not 0/1");
-    const double launched = fanout.at("hedges_launched").numberValue;
-    if (hedged == 0.0 && launched != 0.0)
-        die(where + "hedges launched on an unhedged point");
-    if (fanout.at("hedge_wins").numberValue > launched)
-        die(where + "'hedge_wins' exceeds 'hedges_launched'");
-    if (fanout.at("hedges_cancelled").numberValue > launched)
-        die(where + "'hedges_cancelled' exceeds 'hedges_launched'");
-}
+constexpr BlockFlag kBlockFlags[] = {
+    {"elastic", true},      {"overload", false}, {"trace", true},
+    {"grayfail", true},     {"scaleout", true},  {"replication", false},
+    {"fanout", true},
+};
 
 /**
  * Reject any non-finite number anywhere in the document. The writer
@@ -422,31 +97,16 @@ int
 main(int argc, char **argv)
 {
     int arg = 1;
-    bool require_elastic = false;
-    bool require_overload = false;
-    bool require_trace = false;
-    bool require_grayfail = false;
-    bool require_scaleout = false;
-    bool require_replication = false;
-    bool require_fanout = false;
+    std::vector<const BlockFlag *> required;
     while (arg < argc) {
-        const std::string flag = argv[arg];
-        if (flag == "--elastic")
-            require_elastic = true;
-        else if (flag == "--overload")
-            require_overload = true;
-        else if (flag == "--trace")
-            require_trace = true;
-        else if (flag == "--grayfail")
-            require_grayfail = true;
-        else if (flag == "--scaleout")
-            require_scaleout = true;
-        else if (flag == "--replication")
-            require_replication = true;
-        else if (flag == "--fanout")
-            require_fanout = true;
-        else
+        const BlockFlag *flag = nullptr;
+        for (const BlockFlag &f : kBlockFlags) {
+            if (argv[arg] == "--" + std::string(f.block))
+                flag = &f;
+        }
+        if (!flag)
             break;
+        required.push_back(flag);
         ++arg;
     }
     if (argc - arg < 2)
@@ -505,70 +165,46 @@ main(int argc, char **argv)
         die(path + ": expected >= " + std::to_string(min_points) +
             " points, got " + std::to_string(points->elements.size()));
     }
-    bool saw_overload = false;
-    bool saw_replication = false;
+    std::vector<bool> seen(required.size(), false);
     for (const core::JsonValue &p : points->elements) {
         const core::JsonValue *label = p.find("label");
         if (!label || !label->isString() || label->stringValue.empty())
             die(path + ": point without a label");
+        const std::string where =
+            path + ": point '" + label->stringValue + "'";
         // A failed sweep point carries an "error" instead of a result;
         // an artifact with one is never valid.
         if (const core::JsonValue *err = p.find("error"))
-            die(path + ": point '" + label->stringValue + "' failed: " +
+            die(where + " failed: " +
                 (err->isString() ? err->stringValue : "unknown error"));
         const core::JsonValue *result = p.find("result");
         if (!result || !result->isObject())
-            die(path + ": point '" + label->stringValue +
-                "' without a result");
+            die(where + " without a result");
         const core::JsonValue *tput = result->find("throughput_rps");
         if (!tput || !tput->isNumber() || !(tput->numberValue > 0))
-            die(path + ": point '" + label->stringValue +
-                "' without a positive throughput_rps");
-        const core::JsonValue *elastic = result->find("elastic");
-        if (elastic)
-            checkElastic(path, label->stringValue, *elastic);
-        else if (require_elastic)
-            die(path + ": point '" + label->stringValue +
-                "' without an elastic block (--elastic)");
-        if (const core::JsonValue *ov = result->find("overload")) {
-            checkOverload(path, label->stringValue, *ov);
-            saw_overload = true;
+            die(where + " without a positive throughput_rps");
+        if (const std::string bad = core::checkResultJson(*result);
+            !bad.empty())
+            die(where + " " + bad);
+        for (std::size_t i = 0; i < required.size(); ++i) {
+            const std::string block = required[i]->block;
+            const core::JsonValue *b = result->find(block);
+            if (!b && required[i]->everyPoint)
+                die(where + " lacks the " + block + " block (--" + block +
+                    ")");
+            seen[i] = seen[i] || b != nullptr;
+            if (b && block == "replication" &&
+                b->at("consistency_checked").numberValue != 1.0)
+                die(where + " replication: consistency sweep did not "
+                            "run (--replication)");
         }
-        const core::JsonValue *trace = result->find("trace");
-        if (trace)
-            checkTrace(path, label->stringValue, *trace);
-        else if (require_trace)
-            die(path + ": point '" + label->stringValue +
-                "' without a trace block (--trace)");
-        const core::JsonValue *grayfail = result->find("grayfail");
-        if (grayfail)
-            checkGrayFail(path, label->stringValue, *grayfail);
-        else if (require_grayfail)
-            die(path + ": point '" + label->stringValue +
-                "' without a grayfail block (--grayfail)");
-        const core::JsonValue *scaleout = result->find("scaleout");
-        if (scaleout)
-            checkScaleout(path, label->stringValue, *scaleout);
-        else if (require_scaleout)
-            die(path + ": point '" + label->stringValue +
-                "' without a scaleout block (--scaleout)");
-        if (const core::JsonValue *rp = result->find("replication")) {
-            checkReplication(path, label->stringValue, *rp,
-                             require_replication);
-            saw_replication = true;
-        }
-        const core::JsonValue *fanout = result->find("fanout");
-        if (fanout)
-            checkFanout(path, label->stringValue, *fanout);
-        else if (require_fanout)
-            die(path + ": point '" + label->stringValue +
-                "' without a fanout block (--fanout)");
     }
-    if (require_overload && !saw_overload)
-        die(path + ": no point carries an overload block (--overload)");
-    if (require_replication && !saw_replication)
-        die(path +
-            ": no point carries a replication block (--replication)");
+    for (std::size_t i = 0; i < required.size(); ++i) {
+        const std::string block = required[i]->block;
+        if (!seen[i])
+            die(path + ": no point carries the " + block + " block (--" +
+                block + ")");
+    }
 
     rejectNonFinite(path, v);
 

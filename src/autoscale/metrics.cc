@@ -16,8 +16,6 @@ MetricsBus::MetricsBus(teastore::App &app)
     state_.resize(services_.size());
     for (std::size_t i = 0; i < services_.size(); ++i) {
         state_[i].lastFailureCount = cumulativeFailures(*services_[i]);
-        state_[i].lastRejectionCount =
-            cumulativeRejections(*services_[i]);
         state_[i].lastBusyNs = services_[i]->aggregateCounters().busyNs;
         PerService *ps = &state_[i];
         services_[i]->addCompletionObserver(
@@ -40,16 +38,6 @@ MetricsBus::cumulativeFailures(const svc::Service &svc)
                 n += stats.statusCounts[s];
         }
     }
-    return n;
-}
-
-std::uint64_t
-MetricsBus::cumulativeRejections(const svc::Service &svc)
-{
-    const svc::OverloadCounters &oc = svc.overloadCounters();
-    std::uint64_t n = svc.resilienceCounters().shed + oc.codelDrops;
-    for (std::uint64_t tier : oc.admissionRejects)
-        n += tier;
     return n;
 }
 
@@ -123,21 +111,12 @@ MetricsBus::sample(Tick now)
                                                 : failures;
         ps.lastFailureCount = failures;
 
-        // Shed-rate signal from the never-reset overload counters (no
-        // resync needed: they are monotone across stats resets).
-        const std::uint64_t rejections = cumulativeRejections(svc);
-        const std::uint64_t rejection_delta =
-            rejections - ps.lastRejectionCount;
-        ps.lastRejectionCount = rejections;
-
         const std::size_t n = ps.latenciesNs.size();
         if (interval_sec > 0.0) {
             s.completionsPerSec =
                 static_cast<double>(n) / interval_sec;
             s.failuresPerSec =
                 static_cast<double>(failure_delta) / interval_sec;
-            s.rejectionsPerSec =
-                static_cast<double>(rejection_delta) / interval_sec;
         }
         if (n > 0) {
             double sum = 0.0;

@@ -60,15 +60,6 @@ struct ServiceSample
     double meanServiceMs = 0.0;
     /** p99 replica service time over the interval, ms. */
     double p99ServiceMs = 0.0;
-    /**
-     * Requests per second turned away by load shedding this interval:
-     * bounded-queue sheds plus the overload layer's admission
-     * rejections and CoDel drops. The shed-rate signal: sustained
-     * rejection pressure means demand exceeds what the current
-     * replica set will even admit, so policies can scale out on it
-     * before latency signals catch up.
-     */
-    double rejectionsPerSec = 0.0;
 };
 
 /**
@@ -116,17 +107,12 @@ class MetricsBus
         std::uint64_t observedFailures = 0;
         /** Cumulative non-OK status count at the last sample. */
         std::uint64_t lastFailureCount = 0;
-        /** Cumulative shed/rejected count at the last sample. */
-        std::uint64_t lastRejectionCount = 0;
         /** Cumulative busy nanoseconds at the last sample. */
         double lastBusyNs = 0.0;
     };
 
     /** Cumulative non-OK outcomes of a service (all ops, all time). */
     static std::uint64_t cumulativeFailures(const svc::Service &svc);
-
-    /** Cumulative shed + admission-rejected + CoDel-dropped requests. */
-    static std::uint64_t cumulativeRejections(const svc::Service &svc);
 
     std::vector<svc::Service *> services_;
     std::vector<PerService> state_;

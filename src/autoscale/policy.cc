@@ -50,13 +50,7 @@ thresholdRule(double utilization, const ServiceSample &sample,
     const std::uint64_t backlog_limit =
         static_cast<std::uint64_t>(sample.activeReplicas) *
         sample.workersPerReplica;
-    // Shed-rate backstop: admission control keeps utilization and the
-    // queue low precisely when demand is being turned away, so
-    // sustained rejections must force growth on their own.
-    const bool rejection_pressure =
-        params.rejectionRpsHigh > 0.0 &&
-        sample.rejectionsPerSec > params.rejectionRpsHigh;
-    if (utilization > params.utilHigh || rejection_pressure ||
+    if (utilization > params.utilHigh ||
         (backlog_limit > 0 && sample.queueDepth > backlog_limit))
         return currentTarget + params.scaleOutStep;
     if (utilization < params.utilLow && sample.queueDepth == 0 &&

@@ -66,15 +66,6 @@ struct PolicyParams
     double trendBeta = 0.25;
     /** Predictive: forecast horizon (roughly the replica warm-up). */
     Tick horizon = 4 * kSecond;
-
-    /**
-     * Rejection-pressure backstop for Threshold/Predictive: when > 0
-     * and the sample's rejectionsPerSec exceeds it, scale out even if
-     * utilization reads calm. Load shedding keeps utilization low by
-     * design, so an overload-controlled service needs this signal to
-     * grow out of sustained shedding. 0 (default) disables it.
-     */
-    double rejectionRpsHigh = 0.0;
 };
 
 /** Per-service policy instance. */

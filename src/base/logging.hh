@@ -67,7 +67,9 @@ std::string
 concat(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << std::forward<Args>(args));
+    // A comma fold: with an empty pack it expands to void(), where
+    // the left fold over << would leave an unused `os`.
+    ((os << std::forward<Args>(args)), ...);
     return os.str();
 }
 

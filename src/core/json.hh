@@ -20,8 +20,10 @@ namespace microscale::core
 
 /**
  * Serialize a RunResult as a single JSON object: headline metrics,
- * per-op latency, per-service counters, scheduler stats, and the
- * per-op breakdowns. Deterministic key order (maps are sorted).
+ * per-op latency, per-service counters, scheduler stats, the per-op
+ * breakdowns and one block per active layer. Deterministic key order
+ * (maps are sorted). json.cc's describe() lists every field once, for
+ * this writer and for checkResultJson.
  */
 void writeJson(std::ostream &os, const RunResult &result);
 
@@ -66,6 +68,16 @@ struct JsonValue
     /** Object member access; throws std::out_of_range when absent. */
     const JsonValue &at(const std::string &key) const;
 };
+
+/**
+ * Validate one parsed RunResult document against describe(): every
+ * field the writer would write for the blocks the document carries is
+ * present, numeric and finite (strings non-empty) and within its
+ * bound, and the cross-field relations hold (trace attribution sums,
+ * quorum sizes, zero lost acked writes, hedge counts, ...). Returns ""
+ * or the first violation as "<block>.<key>: <what>".
+ */
+std::string checkResultJson(const JsonValue &result);
 
 /**
  * Parse a complete JSON document (trailing whitespace allowed).

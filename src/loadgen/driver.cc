@@ -218,23 +218,6 @@ ClosedLoopDriver::onFluidResponse(OpType op, Tick issued_at,
     --fluid_->inflight;
     if (stopped_)
         return;
-    if (params_.retreatBase > 0 && status != svc::Status::Ok) {
-        // First-level retreat only: the pool cannot know which user
-        // failed how many times in a row, so every failure waits the
-        // base backoff. Under sustained shedding this under-retreats
-        // relative to per-user mode; acceptable at fluid scale.
-        ++fluid_->retreating;
-        sim.scheduleAfter(retreatBackoff(params_.retreatBase, 1),
-                          [this] {
-                              --fluid_->retreating;
-                              if (stopped_)
-                                  return;
-                              ++fluid_->thinking;
-                              fluid_->next.cancel();
-                              scheduleNextFluid();
-                          });
-        return;
-    }
     ++fluid_->thinking;
     // Memorylessness makes cancel-and-redraw at the new pooled rate
     // distributionally exact; no per-user timer needs to survive.
@@ -277,18 +260,6 @@ ClosedLoopDriver::onResponse(std::size_t user_index, OpType op,
         return;
     User &user = *users_[user_index];
     user.current = mix_.next(op, user.rng);
-    if (params_.retreatBase > 0 && status != svc::Status::Ok) {
-        // Backpressure retreat: a shedding or failing server gets
-        // exponentially longer pauses, not immediate re-offers. The
-        // wait is deterministic so enabling the retreat never
-        // perturbs the user's RNG stream.
-        ++user.consecutiveFailures;
-        sim.scheduleAfter(
-            retreatBackoff(params_.retreatBase, user.consecutiveFailures),
-            [this, user_index] { issue(user_index); });
-        return;
-    }
-    user.consecutiveFailures = 0;
     const double think = user.rng.exponential(
         static_cast<double>(params_.meanThink));
     sim.scheduleAfter(

@@ -12,7 +12,6 @@
 #ifndef MICROSCALE_LOADGEN_DRIVER_HH
 #define MICROSCALE_LOADGEN_DRIVER_HH
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -110,26 +109,6 @@ class Measurement
     std::uint64_t degraded_ = 0;
 };
 
-/**
- * Retreat wait after `consecutiveFailures` (≥ 1) straight non-OK
- * responses: base << min(failures - 1, 6), saturating at kTickNever/2
- * instead of overflowing Tick for huge bases. Values that fit are
- * returned exactly, so enabling the cap changed no in-range schedule.
- * Deterministic (no RNG draw) by design; see ClosedLoopParams.
- */
-inline Tick
-retreatBackoff(Tick base, unsigned consecutiveFailures)
-{
-    const unsigned shift = std::min(
-        consecutiveFailures > 0 ? consecutiveFailures - 1 : 0u, 6u);
-    // kTickNever is the "no deadline" sentinel; saturate safely below
-    // it so a pathological base can never alias into it or wrap.
-    constexpr Tick kCap = kTickNever / 2;
-    if (base > (kCap >> shift))
-        return kCap;
-    return base << shift;
-}
-
 /** Closed-loop driver parameters. */
 struct ClosedLoopParams
 {
@@ -140,14 +119,6 @@ struct ClosedLoopParams
     /** Users ramp in uniformly over this interval after start(). */
     Tick rampTime = 100 * kMillisecond;
     /**
-     * Backpressure retreat: after a non-OK response the user waits
-     * retreatBackoff(retreatBase, consecutiveFailures) instead of a
-     * think time, backing away from a server that is shedding load
-     * (deterministic, no RNG draw). 0 (default) disables the retreat
-     * and keeps the legacy think-time behavior bit-identical.
-     */
-    Tick retreatBase = 0;
-    /**
      * Fluid population mode: at or above this user count the driver
      * replaces per-user state (one RNG stream, Markov position and
      * pending think event per user) with an aggregated population
@@ -155,8 +126,7 @@ struct ClosedLoopParams
      * instead of O(users), which is what makes 100x bigger populations
      * simulable. 0 (default) disables fluid mode; per-user mode stays
      * byte-identical. See DESIGN.md "engine internals" for the
-     * approximation boundary (stationary op mix, pooled ramp hazard,
-     * first-level retreat).
+     * approximation boundary (stationary op mix, pooled ramp hazard).
      */
     unsigned fluidThreshold = 0;
     /**
@@ -193,8 +163,6 @@ class ClosedLoopDriver
     {
         Rng rng;
         teastore::OpType current;
-        /** Non-OK responses since the last OK (retreat backoff). */
-        unsigned consecutiveFailures = 0;
         explicit User(Rng r, teastore::OpType op)
             : rng(std::move(r)), current(op)
         {
@@ -219,7 +187,6 @@ class ClosedLoopDriver
         SampleBatch gaps;
         unsigned notYetIn = 0;
         unsigned thinking = 0;
-        unsigned retreating = 0;
         std::uint64_t inflight = 0;
         Tick rampEnd = 0;
         sim::EventHandle next;

@@ -231,8 +231,9 @@ TEST(Tuner, AcceptsOnlyImprovingSteps)
     EXPECT_GT(r.throughputRps, 0.0);
     // The reported best throughput is the max over accepted steps.
     for (const TunerStep &s : r.steps) {
-        if (s.accepted)
+        if (s.accepted) {
             EXPECT_LE(s.throughputRps, r.throughputRps + 1e-9);
+        }
     }
     // Replica counts never exceed the cap.
     EXPECT_LE(r.best.webui.replicas, 2u);

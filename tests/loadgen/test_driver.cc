@@ -409,33 +409,5 @@ TEST_F(DriverTest, FluidBelowThresholdStaysPerUser)
     EXPECT_DOUBLE_EQ(gated.p50Ns, per_user.p50Ns);
 }
 
-TEST(RetreatBackoff, ExponentialWithCappedShift)
-{
-    const Tick base = kMillisecond;
-    EXPECT_EQ(retreatBackoff(base, 1), base);
-    EXPECT_EQ(retreatBackoff(base, 2), base << 1);
-    EXPECT_EQ(retreatBackoff(base, 4), base << 3);
-    EXPECT_EQ(retreatBackoff(base, 7), base << 6);
-    // A long failure streak holds at the 64x ceiling instead of
-    // shifting further.
-    EXPECT_EQ(retreatBackoff(base, 8), base << 6);
-    EXPECT_EQ(retreatBackoff(base, 1u << 30), base << 6);
-    // Defensive: zero failures behaves like the first one.
-    EXPECT_EQ(retreatBackoff(base, 0), base);
-}
-
-TEST(RetreatBackoff, SaturatesInsteadOfOverflowing)
-{
-    constexpr Tick kCap = kTickNever / 2;
-    // Pathological bases saturate at the cap rather than wrapping
-    // around Tick or aliasing into the kTickNever sentinel.
-    EXPECT_EQ(retreatBackoff(kTickNever, 7), kCap);
-    EXPECT_EQ(retreatBackoff(kCap, 2), kCap);
-    EXPECT_EQ(retreatBackoff((kCap >> 6) + 1, 7), kCap);
-    EXPECT_LT(retreatBackoff(kTickNever - 1, 64), kTickNever);
-    // The largest base that still fits shifts exactly, not clamped.
-    EXPECT_EQ(retreatBackoff(kCap >> 6, 7), (kCap >> 6) << 6);
-}
-
 } // namespace
 } // namespace microscale::loadgen
