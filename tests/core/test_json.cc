@@ -251,7 +251,7 @@ TEST(ResultCheck, AcceptsEveryGolden)
          {"fig01_closed_loop.json", "fig05_placement.json",
           "fig12_resilience.json", "fig13_elastic.json",
           "fig14_overload.json", "fig15_trace.json", "fig17_datatier.json",
-          "fig19_socialnet.json"}) {
+          "fig19_socialnet.json", "traced_retries.json"}) {
         std::ifstream in(std::string(MICROSCALE_GOLDEN_DIR) + "/" + name);
         ASSERT_TRUE(in.good()) << name;
         std::ostringstream text;

@@ -5,7 +5,8 @@
  * Each scenario is a reduced FIG-01/05/12/13/14/15/19-style experiment;
  * its RunResult JSON (core::writeJson) must stay byte-identical to the
  * captured golden produced by the pre-refactor engine. FIG-13 pins the
- * elastic runner and FIG-19 the socialnet runner. EveryBlockWriter
+ * elastic runner and FIG-19 the socialnet runner; TracedRetries pins
+ * the mesh's retry ladder with spans recorded. EveryBlockWriter
  * pins the writer itself on a synthetic result with every gated
  * block active. These pin the
  * event-core refactor: any change to event ordering, RNG draw
@@ -20,8 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -30,18 +29,17 @@
 #include "core/every_block.hh"
 #include "core/experiment.hh"
 #include "core/json.hh"
+#include "integration/golden.hh"
 #include "teastore/chaos.hh"
 #include "teastore/criticality.hh"
 #include "topo/machine.hh"
-
-#ifndef MICROSCALE_GOLDEN_DIR
-#error "MICROSCALE_GOLDEN_DIR must be defined by the build"
-#endif
 
 namespace microscale::core
 {
 namespace
 {
+
+using microscale::testing::checkGolden;
 
 /** The reduced base scenario: small machine, short windows. */
 ExperimentConfig
@@ -74,26 +72,6 @@ resultJson(const RunResult &r)
     return os.str();
 }
 
-/** Compare against (or regenerate) tests/integration/golden/<name>. */
-void
-checkGolden(const std::string &name, const std::string &json)
-{
-    const std::string path =
-        std::string(MICROSCALE_GOLDEN_DIR) + "/" + name;
-    if (std::getenv("MICROSCALE_REGEN_GOLDENS") != nullptr) {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(out.good()) << "cannot write " << path;
-        out << json;
-        GTEST_SKIP() << "regenerated " << path;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good()) << "missing golden " << path
-                           << " (run with MICROSCALE_REGEN_GOLDENS=1)";
-    std::ostringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(json, want.str()) << name << " diverged from golden";
-}
-
 TEST(Golden, Fig01ClosedLoop)
 {
     const RunResult r = runExperiment(baseConfig());
@@ -117,6 +95,32 @@ TEST(Golden, Fig12ResilientChaos)
     c.app.degradedFallbacks = true;
     const RunResult r = runExperiment(c);
     checkGolden("fig12_resilience.json", resultJson(r));
+}
+
+TEST(Golden, TracedRetries)
+{
+    // Fig12's resilient chaos run with every request traced: retried
+    // attempts record spans (attempt number, retryOf, backoff), which
+    // no other golden combines. The healthy first scenario retries
+    // nothing, so an image crash (rejected attempts retried after
+    // their backoff) overlaps a recommender brownout (attempts settled
+    // by their client timeout).
+    ExperimentConfig c = baseConfig();
+    c.faults = teastore::makeChaosScript(
+        teastore::ChaosScenario::ReplicaCrash, c.warmup, c.measure);
+    for (const svc::FaultEvent &e :
+         teastore::makeChaosScript(teastore::ChaosScenario::Brownout,
+                                   c.warmup, c.measure)
+             .events)
+        c.faults.events.push_back(e);
+    c.resilience = teastore::resilientPolicy();
+    c.app.degradedFallbacks = true;
+    c.trace.enabled = true;
+    c.trace.sampleRate = 1.0;
+    const RunResult r = runExperiment(c);
+    EXPECT_GT(r.resilience.retries, 0u);
+    EXPECT_GT(r.resilience.clientTimeouts, 0u);
+    checkGolden("traced_retries.json", resultJson(r));
 }
 
 TEST(Golden, Fig14OverloadOpenLoop)

@@ -3,13 +3,16 @@
  * Tests for hedged requests: first-response-wins with loser
  * cancellation, replica anti-affinity of hedge legs, the token-bucket
  * hedge budget, failure unwinding (every leg fails = one respond),
- * and same-seed reproducibility of the dedicated hedge RNG stream.
+ * same-seed reproducibility of the dedicated hedge RNG stream, and a
+ * golden of the quantile trigger re-arming for a second hedge.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
+#include "integration/golden.hh"
 #include "net/network.hh"
 #include "os/kernel.hh"
 #include "sim/simulation.hh"
@@ -203,6 +206,82 @@ TEST_F(HedgeTest, AllLegsFailRespondsExactlyOnce)
     EXPECT_EQ(status, Status::Unavailable);
     EXPECT_EQ(mesh_.hedgeStats().wins, 0u);
     EXPECT_EQ(mesh_.hedgeStats().cancelled, 0u);
+}
+
+TEST_F(HedgeTest, QuantileTriggerRearmsForASecondHedge)
+{
+    // A fixed delay of 0 hedges nothing until the edge holds enough
+    // Ok samples, so every hedge here comes from the quantile branch.
+    // Two of three replicas straggle: a first hedge that lands on the
+    // second straggler leaves the call open, and the re-armed timer
+    // launches the second hedge. The golden pins every call's settle
+    // and every span the mesh stamps.
+    ResilienceConfig rc = hedgePolicy("fan", /*delay=*/0);
+    EdgePolicy &pol = rc.edges.front().policy;
+    pol.timeout = 50 * kMillisecond;
+    pol.jitterFrac = 0.2;
+    pol.hedge.delayQuantile = 0.5;
+    pol.hedge.maxHedges = 2;
+    mesh_.setResilience(rc);
+    trace::TraceParams tp;
+    tp.enabled = true;
+    tp.sampleRate = 1.0;
+    mesh_.setTrace(tp);
+    Service *s = makeService("fan", 3, /*workers=*/8);
+    s->addOp("get", [](HandlerCtx &ctx) {
+        ctx.compute(1e6, [&ctx] { ctx.done(); });
+    });
+    s->setReplicaSlow(0, 12.0);
+    s->setReplicaSlow(1, 12.0);
+
+    constexpr unsigned kCalls = 120;
+    std::vector<unsigned> responses(kCalls, 0);
+    std::vector<Tick> settled_at(kCalls, 0);
+    std::vector<Status> statuses(kCalls, Status::Unavailable);
+    for (unsigned i = 0; i < kCalls; ++i) {
+        sim_.scheduleAt(i * 500 * kMicrosecond, [&, i] {
+            mesh_.callExternalS("fan", "get", Payload{},
+                                [&, i](const Payload &, Status st) {
+                                    ++responses[i];
+                                    settled_at[i] = sim_.now();
+                                    statuses[i] = st;
+                                });
+        });
+    }
+    sim_.run();
+
+    std::ostringstream out;
+    for (unsigned i = 0; i < kCalls; ++i) {
+        EXPECT_EQ(responses[i], 1u) << "call " << i;
+        out << "call " << i << " settled " << settled_at[i] << " "
+            << statusName(statuses[i]) << "\n";
+    }
+    unsigned second_hedges = 0;
+    for (const auto &t : mesh_.traceStore()->traces()) {
+        for (const trace::Span &sp : t->spans()) {
+            second_hedges += sp.attempt == 3 ? 1 : 0;
+            out << "trace " << t->id() << " span " << sp.id << " attempt "
+                << sp.attempt << " retryOf " << sp.retryOf << " hedge "
+                << sp.hedge << " cancelled " << sp.cancelled << " issue "
+                << sp.clientIssue << " complete " << sp.clientComplete
+                << " client " << statusName(sp.clientStatus)
+                << " deadline " << sp.deadline << " arrived " << sp.arrived
+                << " dispatched " << sp.dispatched << " finish "
+                << sp.finish << " server " << statusName(sp.status)
+                << " replica " << sp.replica << "\n";
+        }
+    }
+    const HedgeStats &hs = mesh_.hedgeStats();
+    out << "hedges firstAttempts " << hs.firstAttempts << " launched "
+        << hs.launched << " wins " << hs.wins << " cancelled "
+        << hs.cancelled << " budgetDenied " << hs.budgetDenied
+        << " clientTimeouts " << mesh_.retryStats().clientTimeouts << "\n";
+
+    EXPECT_EQ(hs.firstAttempts, kCalls);
+    EXPECT_GT(hs.launched, 0u);
+    EXPECT_GT(hs.wins, 0u);
+    EXPECT_GT(second_hedges, 0u);
+    microscale::testing::checkGolden("hedge_quantile.txt", out.str());
 }
 
 /** One hedged world, returning the settle tick of a single call whose
