@@ -10,10 +10,14 @@ namespace microscale::svc
 {
 
 /**
- * State of one logical RPC across its attempts. Kept alive by the
- * shared_ptr captured in the transport/timer closures.
+ * State of one logical RPC on an edge with a policy or a deadline.
+ * Every attempt is a leg: the retry ladder runs its legs one after
+ * another, a hedged edge races up to 1 + maxHedges of them to a
+ * first-response-wins settle. Hedging replaces the retry ladder on its
+ * edge: an edge with both hedge and retry configured hedges only. Kept
+ * alive by the shared_ptr captured in the transport/timer closures.
  */
-struct Mesh::RpcCall
+struct Mesh::Call
 {
     Service *target = nullptr;
     std::string op;
@@ -23,55 +27,26 @@ struct Mesh::RpcCall
     EdgePolicy policy;
     Criticality criticality = Criticality::Normal;
     RespondFn respond;
-    /** Timeout timer of the attempt in flight (cancelled on settle). */
-    sim::EventHandle timer;
     /** Caller's name (span labeling; kExternalClient for roots). */
     std::string client;
     /** Trace link of the logical call; null when untraced. */
     trace::TraceLink link;
-    /** Span of the first attempt (retry lineage). */
+    /** Machine the caller runs on (0 unless a router is installed). */
+    unsigned srcNode = 0;
+    /** Span of the first leg (later legs point at it via retryOf). */
     trace::SpanId firstSpan = trace::kNoSpan;
-    /** Span of the attempt currently in flight. */
-    trace::SpanId currentSpan = trace::kNoSpan;
-    /** Backoff delay preceding the next attempt (recorded into its
+    /** Backoff delay preceding the next retry (recorded into its
      * span, then cleared). */
     Tick pendingBackoff = 0;
-    /** Machine the caller runs on (0 unless a router is installed). */
-    unsigned srcNode = 0;
-};
-
-/**
- * State of one hedged RPC: up to 1 + maxHedges concurrent legs racing
- * to a first-response-wins settle. Kept alive by the shared_ptr
- * captured in the transport/timer closures. Hedging replaces the
- * sequential retry ladder on its edge: an edge with both hedge and
- * retry configured hedges only.
- */
-struct Mesh::HedgedCall
-{
-    Service *target = nullptr;
-    std::string op;
-    Payload payload;
-    /** Propagated absolute deadline (kTickNever = none). */
-    Tick deadline = kTickNever;
-    EdgePolicy policy;
-    Criticality criticality = Criticality::Normal;
-    RespondFn respond;
-    /** Caller's name (span labeling; kExternalClient for roots). */
-    std::string client;
-    /** Trace link of the logical call; null when untraced. */
-    trace::TraceLink link;
-    /** Span of the first leg (hedge legs point at it via retryOf). */
-    trace::SpanId firstSpan = trace::kNoSpan;
-    /** Replica the first leg landed on (anti-affinity for hedge legs);
-     * -1 until the first leg is dispatched. */
-    std::shared_ptr<int> firstReplica;
-    /** Machine the caller runs on (0 unless a router is installed). */
-    unsigned srcNode = 0;
     /** Call settled: exactly one respond() has fired. */
     bool done = false;
     /** Legs still racing (launched, not yet settled or cancelled). */
     unsigned legsOpen = 0;
+
+    // Hedged edges only.
+    /** Replica the first leg landed on (anti-affinity for hedge legs);
+     * -1 until the first leg is dispatched. */
+    std::shared_ptr<int> firstReplica;
     /** Timer that launches the next hedge leg. */
     sim::EventHandle hedgeTimer;
     /** Hedge delay the timer was armed with (re-arm uses the same). */
@@ -81,19 +56,34 @@ struct Mesh::HedgedCall
     Payload lastResponse;
     Status lastStatus = Status::Unavailable;
 
-    struct Leg {
-        /** Per-leg timeout timer (cancelled on settle). */
+    struct Leg
+    {
+        /** Timeout timer (cancelled when a response settles the leg). */
         sim::EventHandle timer;
         /** Span of this leg; kNoSpan when untraced. */
         trace::SpanId span = trace::kNoSpan;
         /** Issue tick (latency sample on Ok, without needing a trace). */
         Tick issued = 0;
-        /** Settle-once guard shared with the transport closure. */
-        std::shared_ptr<bool> settled;
-        /** Still racing (not settled, not cancelled). */
+        /** Not yet settled or cancelled: the settle-once guard of the
+         * leg's timer and response. */
         bool open = false;
     };
     std::vector<Leg> legs;
+
+    bool hedged() const { return policy.hedge.enabled(); }
+
+    bool deadlineOpen(Tick now) const
+    {
+        return deadline == kTickNever || now < deadline;
+    }
+
+    /** Fire the call's one respond() with its final outcome. */
+    void deliver(const Payload &response, Status status)
+    {
+        done = true;
+        if (respond)
+            respond(response, status);
+    }
 };
 
 Mesh::Mesh(os::Kernel &kernel, net::Network &network,
@@ -299,36 +289,21 @@ Mesh::sendRpc(const std::string &client, const std::string &service,
         return;
     }
 
-    if (pol.hedge.enabled()) {
-        // Hedged path: concurrent first-response-wins legs instead of
-        // the sequential retry ladder. Hedge tokens accrue per first
-        // attempt; each launched hedge spends one.
+    // Hedge tokens accrue per first attempt of a hedge-enabled edge
+    // and retry tokens per first attempt of a retry-capable one; each
+    // launched hedge or retry spends one. The caps bound bursts after
+    // idle.
+    const bool hedged = pol.hedge.enabled();
+    if (hedged) {
         hedge_tokens_ = std::min(
             hedge_tokens_ + resilience_.hedgeBudgetRatio, 50.0);
         ++hedge_stats_.firstAttempts;
-        auto call = std::make_shared<HedgedCall>();
-        call->target = &target;
-        call->op = op;
-        call->payload = std::move(payload);
-        call->deadline = deadline;
-        call->policy = pol;
-        call->criticality = tier;
-        call->respond = std::move(respond);
-        call->client = client;
-        call->link = link;
-        call->srcNode = src;
-        sendHedged(std::move(call));
-        return;
-    }
-
-    // Retry tokens accrue on first attempts of retry-capable edges and
-    // are spent one per retry; the cap bounds burst retries after idle.
-    if (pol.canRetry()) {
+    } else if (pol.canRetry()) {
         retry_tokens_ = std::min(
             retry_tokens_ + resilience_.retryBudgetRatio, 50.0);
     }
 
-    auto call = std::make_shared<RpcCall>();
+    auto call = std::make_shared<Call>();
     call->target = &target;
     call->op = op;
     call->payload = std::move(payload);
@@ -339,247 +314,22 @@ Mesh::sendRpc(const std::string &client, const std::string &service,
     call->client = client;
     call->link = link;
     call->srcNode = src;
-    attempt(call, 1);
-}
-
-void
-Mesh::attempt(std::shared_ptr<RpcCall> call, unsigned attempt_no)
-{
-    const Tick now = kernel_.sim().now();
-    trace::SpanRef ref;
-    if (call->link) {
-        ref = startSpan(call->link, call->client,
-                        call->target->name(), call->op, attempt_no,
-                        attempt_no == 1 ? trace::kNoSpan
-                                        : call->firstSpan,
-                        call->pendingBackoff);
-        call->pendingBackoff = 0;
-        if (attempt_no == 1)
-            call->firstSpan = ref.span;
-        call->currentSpan = ref.span;
-    }
-    // Effective deadline of this attempt: the propagated deadline
-    // capped by the per-attempt edge timeout.
-    Tick eff = call->deadline;
-    if (call->policy.hasTimeout())
-        eff = std::min(eff, now + call->policy.timeout);
-    if (ref) {
-        // Deadline monotonicity invariant (checked by chaos search):
-        // a child span's deadline never exceeds its parent's.
-        ref.trace->span(ref.span).deadline = eff;
-    }
-    if (eff != kTickNever && now >= eff) {
-        if (ref) {
-            trace::Span &span = ref.trace->span(ref.span);
-            span.clientComplete = now;
-            span.clientStatus = Status::Timeout;
-        }
-        if (call->respond)
-            call->respond(Payload{}, Status::Timeout);
+    launch(call);
+    if (!hedged || call->done)
         return;
-    }
-
-    // Both the response and the timer race to settle the attempt; the
-    // flag makes whichever fires second a no-op.
-    auto settled = std::make_shared<bool>(false);
-    if (eff != kTickNever) {
-        call->timer = kernel_.sim().scheduleAt(
-            eff, [this, call, attempt_no, settled] {
-                if (*settled)
-                    return;
-                *settled = true;
-                ++retry_stats_.clientTimeouts;
-                finishAttempt(call, attempt_no, Payload{},
-                              Status::Timeout);
-            });
-    }
-    RespondFn on_response = [this, call, attempt_no, settled,
-                             eff](const Payload &resp, Status status) {
-        if (*settled)
-            return;
-        *settled = true;
-        if (eff != kTickNever)
-            call->timer.cancel();
-        finishAttempt(call, attempt_no, resp, status);
-    };
-
-    // Each attempt re-routes: after a node loss the router may steer
-    // the retry to a surviving machine.
-    unsigned dst = 0;
-    if (router_)
-        dst = router_->route(call->srcNode, *call->target);
-    if (ref && call->srcNode != dst) {
-        ref.trace->span(ref.span).fabricNs += static_cast<double>(
-            network_.fabricLatencyNominal(call->payload.bytes,
-                                          call->srcNode, dst));
-    }
-    network_.sendVia(call->payload.bytes, call->client,
-                     call->target->name(), call->srcNode, dst,
-                     [this, call, eff, ref, dst,
-                      on_response = std::move(on_response)]() mutable {
-                         Envelope env;
-                         env.op = call->op;
-                         env.request = call->payload;
-                         env.respond = std::move(on_response);
-                         // Duplicated deliveries (PacketDup) re-run
-                         // this: only the first copy may settle the
-                         // attempt.
-                         on_response = nullptr;
-                         env.client = call->client;
-                         env.arrived = kernel_.sim().now();
-                         env.deadline = eff;
-                         env.criticality = call->criticality;
-                         env.trace = ref;
-                         env.srcNode = call->srcNode;
-                         env.dstNode = dst;
-                         call->target->submit(std::move(env));
-                     });
-}
-
-void
-Mesh::finishAttempt(std::shared_ptr<RpcCall> call, unsigned attempt_no,
-                    const Payload &response, Status status)
-{
-    if (call->link) {
-        // This attempt settled (response or client timeout): stamp the
-        // client-side view. Settles once per attempt (settled flag).
-        trace::Span &span = call->link.trace->span(call->currentSpan);
-        span.clientComplete = kernel_.sim().now();
-        span.clientStatus = status;
-    }
-    if (status == Status::Ok) {
-        if (call->respond)
-            call->respond(response, status);
-        return;
-    }
-    if (status == Status::Rejected) {
-        // Admission rejection is a deliberate shed by the overload
-        // layer: retrying it would convert rejected work into
-        // amplified offered load (a retry storm). Fail fast instead.
-        ++retry_stats_.rejectedNoRetry;
-        if (call->respond)
-            call->respond(response, status);
-        return;
-    }
-    const Tick now = kernel_.sim().now();
-    const bool deadline_open =
-        call->deadline == kTickNever || now < call->deadline;
-    if (attempt_no >= call->policy.maxAttempts || !deadline_open) {
-        if (call->respond)
-            call->respond(response, status);
-        return;
-    }
-    if (!takeRetryToken()) {
-        ++retry_stats_.budgetDenied;
-        if (call->respond)
-            call->respond(response, status);
-        return;
-    }
-    ++retry_stats_.retries;
-    double backoff =
-        static_cast<double>(call->policy.backoffBase) *
-        std::pow(call->policy.backoffMult,
-                 static_cast<double>(attempt_no - 1));
-    if (call->policy.jitterFrac > 0.0) {
-        // Deterministic jitter from a dedicated stream: healthy runs
-        // never draw from it, so adding it cannot perturb them.
-        const double f = call->policy.jitterFrac;
-        backoff *= (1.0 - f) + 2.0 * f * retry_rng_.uniform01();
-    }
-    const Tick delay =
-        std::max<Tick>(1, static_cast<Tick>(std::llround(backoff)));
-    call->pendingBackoff = delay;
-    kernel_.sim().scheduleAfter(delay, [this, call, attempt_no] {
-        attempt(call, attempt_no + 1);
-    });
-}
-
-Tick
-Mesh::hedgeDelayFor(const std::string &client,
-                    const std::string &service,
-                    const HedgePolicy &policy)
-{
-    if (policy.delayQuantile > 0.0) {
-        // Quantile trigger: hedge after the edge's observed latency
-        // quantile. Needs a warm histogram; until then fall back to
-        // the fixed delay (0 = don't hedge yet).
-        auto it = hedge_latency_.find(client + "|" + service);
-        constexpr std::uint64_t kMinSamples = 32;
-        if (it != hedge_latency_.end() &&
-            it->second.count() >= kMinSamples) {
-            const double q = it->second.quantile(policy.delayQuantile);
-            return std::max<Tick>(1, static_cast<Tick>(std::llround(q)));
-        }
-    }
-    return policy.delay;
-}
-
-void
-Mesh::sendHedged(std::shared_ptr<HedgedCall> call)
-{
-    launchLeg(call);
-    if (call->done)
-        return;
-    call->hedgeDelay = hedgeDelayFor(call->client, call->target->name(),
-                                     call->policy.hedge);
+    call->hedgeDelay =
+        hedgeDelayFor(call->client, call->target->name(), pol.hedge);
     if (call->hedgeDelay > 0)
         armHedgeTimer(call);
 }
 
 void
-Mesh::armHedgeTimer(std::shared_ptr<HedgedCall> call)
-{
-    Tick delay = call->hedgeDelay;
-    if (call->policy.jitterFrac > 0.0) {
-        // Deterministic jitter from the dedicated hedge stream: runs
-        // without hedge-enabled edges never draw from it.
-        const double f = call->policy.jitterFrac;
-        const double jittered =
-            static_cast<double>(delay) *
-            ((1.0 - f) + 2.0 * f * hedge_rng_.uniform01());
-        delay = std::max<Tick>(1,
-                               static_cast<Tick>(std::llround(jittered)));
-    }
-    call->hedgeTimer = kernel_.sim().scheduleAfter(delay, [this, call] {
-        if (call->done)
-            return;
-        const Tick now = kernel_.sim().now();
-        const bool deadline_open =
-            call->deadline == kTickNever || now < call->deadline;
-        bool launched = false;
-        if (deadline_open &&
-            call->legs.size() <= call->policy.hedge.maxHedges) {
-            if (takeHedgeToken()) {
-                ++hedge_stats_.launched;
-                launchLeg(call);
-                launched = true;
-                if (!call->done &&
-                    call->legs.size() <= call->policy.hedge.maxHedges)
-                    armHedgeTimer(call);
-            } else {
-                ++hedge_stats_.budgetDenied;
-            }
-        }
-        // Every leg already failed and no new one is coming: the
-        // deferred settle (finishLeg waits on this timer) fires here.
-        if (!launched && !call->done && call->legsOpen == 0) {
-            call->done = true;
-            if (call->respond)
-                call->respond(call->lastResponse, call->lastStatus);
-        }
-    });
-}
-
-void
-Mesh::launchLeg(std::shared_ptr<HedgedCall> call)
+Mesh::launch(const std::shared_ptr<Call> &call)
 {
     const Tick now = kernel_.sim().now();
-    const unsigned leg_index =
-        static_cast<unsigned>(call->legs.size());
-    call->legs.emplace_back();
-    HedgedCall::Leg &leg = call->legs.back();
+    const unsigned leg_index = static_cast<unsigned>(call->legs.size());
+    Call::Leg &leg = call->legs.emplace_back();
     leg.issued = now;
-    leg.settled = std::make_shared<bool>(false);
     leg.open = true;
     ++call->legsOpen;
 
@@ -588,52 +338,50 @@ Mesh::launchLeg(std::shared_ptr<HedgedCall> call)
         ref = startSpan(call->link, call->client, call->target->name(),
                         call->op, leg_index + 1,
                         leg_index == 0 ? trace::kNoSpan : call->firstSpan,
-                        /*backoff=*/0);
+                        call->pendingBackoff);
+        call->pendingBackoff = 0;
         if (leg_index == 0)
             call->firstSpan = ref.span;
-        else
-            ref.trace->span(ref.span).hedge = true;
         leg.span = ref.span;
     }
-
     // Effective deadline of this leg: the propagated deadline capped
     // by the per-attempt edge timeout.
     Tick eff = call->deadline;
     if (call->policy.hasTimeout())
         eff = std::min(eff, now + call->policy.timeout);
-    if (ref)
-        ref.trace->span(ref.span).deadline = eff;
+    if (ref) {
+        trace::Span &span = ref.trace->span(ref.span);
+        span.hedge = call->hedged() && leg_index > 0;
+        // Deadline monotonicity invariant (checked by chaos search):
+        // a child span's deadline never exceeds its parent's.
+        span.deadline = eff;
+    }
     if (eff != kTickNever && now >= eff) {
-        leg.open = false;
-        --call->legsOpen;
-        *leg.settled = true;
-        finishLeg(call, leg_index, Payload{}, Status::Timeout);
+        settle(call, leg_index, Payload{}, Status::Timeout);
         return;
     }
 
-    auto settled = leg.settled;
+    // The response and the timer race to settle the leg; whichever
+    // fires second finds it closed and does nothing.
     if (eff != kTickNever) {
-        leg.timer = kernel_.sim().scheduleAt(
-            eff, [this, call, leg_index, settled] {
-                if (*settled)
-                    return;
-                *settled = true;
-                ++retry_stats_.clientTimeouts;
-                finishLeg(call, leg_index, Payload{}, Status::Timeout);
-            });
+        leg.timer = kernel_.sim().scheduleAt(eff, [this, call, leg_index] {
+            if (!call->legs[leg_index].open)
+                return;
+            ++retry_stats_.clientTimeouts;
+            settle(call, leg_index, Payload{}, Status::Timeout);
+        });
     }
-    RespondFn on_response = [this, call, leg_index, settled,
-                             eff](const Payload &resp, Status status) {
-        if (*settled)
+    RespondFn on_response = [this, call, leg_index](const Payload &resp,
+                                                    Status status) {
+        Call::Leg &settling = call->legs[leg_index];
+        if (!settling.open)
             return;
-        *settled = true;
-        if (eff != kTickNever)
-            call->legs[leg_index].timer.cancel();
-        finishLeg(call, leg_index, resp, status);
+        settling.timer.cancel();
+        settle(call, leg_index, resp, status);
     };
 
-    // Each leg re-routes, like retry attempts: after a node loss the
-    // hedge may land on a surviving machine.
+    // Each leg re-routes: after a node loss the router may steer a
+    // retry or a hedge to a surviving machine.
     unsigned dst = 0;
     if (router_)
         dst = router_->route(call->srcNode, *call->target);
@@ -642,11 +390,11 @@ Mesh::launchLeg(std::shared_ptr<HedgedCall> call)
             network_.fabricLatencyNominal(call->payload.bytes,
                                           call->srcNode, dst));
     }
-    // Anti-affinity across legs: the first leg reports the replica it
-    // lands on, and every hedge leg steers away from it — duplicating
-    // onto the replica being hedged against would waste the token and
-    // add load exactly where it hurts.
-    if (leg_index == 0)
+    // Anti-affinity across hedge legs: the first leg reports the
+    // replica it lands on, and every hedge leg steers away from it —
+    // duplicating onto the replica being hedged against would waste
+    // the token and add load exactly where it hurts.
+    if (leg_index == 0 && call->hedged())
         call->firstReplica = std::make_shared<int>(-1);
     network_.sendVia(call->payload.bytes, call->client,
                      call->target->name(), call->srcNode, dst,
@@ -676,39 +424,144 @@ Mesh::launchLeg(std::shared_ptr<HedgedCall> call)
 }
 
 void
-Mesh::finishLeg(std::shared_ptr<HedgedCall> call, unsigned leg_index,
-                const Payload &response, Status status)
+Mesh::settle(const std::shared_ptr<Call> &call, unsigned leg_index,
+             const Payload &response, Status status)
 {
-    const Tick now = kernel_.sim().now();
-    HedgedCall::Leg &leg = call->legs[leg_index];
-    if (leg.open) {
-        leg.open = false;
-        --call->legsOpen;
-    }
+    Call::Leg &leg = call->legs[leg_index];
+    leg.open = false;
+    --call->legsOpen;
     if (call->link) {
+        // The leg settled (response or client timeout): stamp the
+        // client-side view.
         trace::Span &span = call->link.trace->span(leg.span);
-        span.clientComplete = now;
+        span.clientComplete = kernel_.sim().now();
         span.clientStatus = status;
     }
+    if (call->hedged())
+        finishLeg(call, leg_index, response, status);
+    else
+        finishAttempt(call, leg_index + 1, response, status);
+}
+
+void
+Mesh::finishAttempt(const std::shared_ptr<Call> &call, unsigned attempt_no,
+                    const Payload &response, Status status)
+{
+    if (status == Status::Rejected) {
+        // Admission rejection is a deliberate shed by the overload
+        // layer: retrying it would convert rejected work into
+        // amplified offered load (a retry storm). Fail fast instead.
+        ++retry_stats_.rejectedNoRetry;
+    }
+    if (status == Status::Ok || status == Status::Rejected ||
+        attempt_no >= call->policy.maxAttempts ||
+        !call->deadlineOpen(kernel_.sim().now())) {
+        call->deliver(response, status);
+        return;
+    }
+    if (!takeRetryToken()) {
+        ++retry_stats_.budgetDenied;
+        call->deliver(response, status);
+        return;
+    }
+    ++retry_stats_.retries;
+    double backoff =
+        static_cast<double>(call->policy.backoffBase) *
+        std::pow(call->policy.backoffMult,
+                 static_cast<double>(attempt_no - 1));
+    if (call->policy.jitterFrac > 0.0) {
+        // Deterministic jitter from a dedicated stream: healthy runs
+        // never draw from it, so adding it cannot perturb them.
+        const double f = call->policy.jitterFrac;
+        backoff *= (1.0 - f) + 2.0 * f * retry_rng_.uniform01();
+    }
+    const Tick delay =
+        std::max<Tick>(1, static_cast<Tick>(std::llround(backoff)));
+    call->pendingBackoff = delay;
+    kernel_.sim().scheduleAfter(delay, [this, call] { launch(call); });
+}
+
+Tick
+Mesh::hedgeDelayFor(const std::string &client,
+                    const std::string &service,
+                    const HedgePolicy &policy)
+{
+    if (policy.delayQuantile > 0.0) {
+        // Quantile trigger: hedge after the edge's observed latency
+        // quantile. Needs a warm histogram; until then fall back to
+        // the fixed delay (0 = don't hedge yet).
+        auto it = hedge_latency_.find(client + "|" + service);
+        constexpr std::uint64_t kMinSamples = 32;
+        if (it != hedge_latency_.end() &&
+            it->second.count() >= kMinSamples) {
+            const double q = it->second.quantile(policy.delayQuantile);
+            return std::max<Tick>(1, static_cast<Tick>(std::llround(q)));
+        }
+    }
+    return policy.delay;
+}
+
+void
+Mesh::armHedgeTimer(const std::shared_ptr<Call> &call)
+{
+    Tick delay = call->hedgeDelay;
+    if (call->policy.jitterFrac > 0.0) {
+        // Deterministic jitter from the dedicated hedge stream: runs
+        // without hedge-enabled edges never draw from it.
+        const double f = call->policy.jitterFrac;
+        const double jittered =
+            static_cast<double>(delay) *
+            ((1.0 - f) + 2.0 * f * hedge_rng_.uniform01());
+        delay = std::max<Tick>(1,
+                               static_cast<Tick>(std::llround(jittered)));
+    }
+    call->hedgeTimer = kernel_.sim().scheduleAfter(delay, [this, call] {
+        if (call->done)
+            return;
+        bool launched = false;
+        if (call->deadlineOpen(kernel_.sim().now()) &&
+            call->legs.size() <= call->policy.hedge.maxHedges) {
+            if (takeHedgeToken()) {
+                ++hedge_stats_.launched;
+                launch(call);
+                launched = true;
+                if (!call->done &&
+                    call->legs.size() <= call->policy.hedge.maxHedges)
+                    armHedgeTimer(call);
+            } else {
+                ++hedge_stats_.budgetDenied;
+            }
+        }
+        // Every leg already failed and no new one is coming: the
+        // deferred settle (finishLeg waits on this timer) fires here.
+        if (!launched && !call->done && call->legsOpen == 0)
+            call->deliver(call->lastResponse, call->lastStatus);
+    });
+}
+
+void
+Mesh::finishLeg(const std::shared_ptr<Call> &call, unsigned leg_index,
+                const Payload &response, Status status)
+{
     if (call->done)
         return;
-
+    const Tick now = kernel_.sim().now();
     if (status == Status::Ok) {
         // First response wins: settle, cancel the losers' timers and
         // mark their spans cancelled so attribution never bills them.
-        call->done = true;
         call->hedgeTimer.cancel();
-        hedge_latency_[call->client + "|" + call->target->name()].add(
-            static_cast<double>(now - leg.issued));
+        // Only the quantile trigger reads the edge's latency record.
+        if (call->policy.hedge.delayQuantile > 0.0) {
+            hedge_latency_[call->client + "|" + call->target->name()].add(
+                static_cast<double>(now - call->legs[leg_index].issued));
+        }
         if (leg_index > 0)
             ++hedge_stats_.wins;
-        for (unsigned i = 0; i < call->legs.size(); ++i) {
-            HedgedCall::Leg &other = call->legs[i];
-            if (i == leg_index || !other.open)
+        for (Call::Leg &other : call->legs) {
+            if (!other.open)
                 continue;
             other.open = false;
             --call->legsOpen;
-            *other.settled = true;
             other.timer.cancel();
             ++hedge_stats_.cancelled;
             if (call->link) {
@@ -717,8 +570,7 @@ Mesh::finishLeg(std::shared_ptr<HedgedCall> call, unsigned leg_index,
                 span.clientComplete = now;
             }
         }
-        if (call->respond)
-            call->respond(response, status);
+        call->deliver(response, status);
         return;
     }
 
@@ -729,9 +581,7 @@ Mesh::finishLeg(std::shared_ptr<HedgedCall> call, unsigned leg_index,
     call->lastStatus = status;
     if (call->legsOpen > 0)
         return;
-    const bool deadline_open =
-        call->deadline == kTickNever || now < call->deadline;
-    if (deadline_open &&
+    if (call->deadlineOpen(now) &&
         call->legs.size() <= call->policy.hedge.maxHedges &&
         status != Status::Rejected) {
         // Rejected is a deliberate shed: duplicating it would amplify
@@ -739,16 +589,14 @@ Mesh::finishLeg(std::shared_ptr<HedgedCall> call, unsigned leg_index,
         if (takeHedgeToken()) {
             call->hedgeTimer.cancel();
             ++hedge_stats_.launched;
-            launchLeg(call);
+            launch(call);
             return;
         }
         ++hedge_stats_.budgetDenied;
     }
     if (call->hedgeTimer.pending())
         return;
-    call->done = true;
-    if (call->respond)
-        call->respond(call->lastResponse, call->lastStatus);
+    call->deliver(call->lastResponse, call->lastStatus);
 }
 
 bool

@@ -186,28 +186,32 @@ class Mesh
     double rpcInstructions(std::uint32_t bytes) const;
 
   private:
-    struct RpcCall;
-    struct HedgedCall;
+    struct Call;
 
-    /** Transport + submit for one attempt of a call. */
-    void attempt(std::shared_ptr<RpcCall> call, unsigned attempt_no);
+    /**
+     * Start the call's next leg: its span (attempt number, retryOf,
+     * backoff), the effective deadline with its immediate-timeout
+     * check, the settle-once timer, the re-route and the envelope
+     * with the hedge anti-affinity hint.
+     */
+    void launch(const std::shared_ptr<Call> &call);
 
-    /** Attempt finished; retry or deliver the final outcome. */
-    void finishAttempt(std::shared_ptr<RpcCall> call, unsigned attempt_no,
-                       const Payload &response, Status status);
+    /** A leg's response or timeout arrived: stamp its span, then pass
+     *  the outcome to the edge's policy. */
+    void settle(const std::shared_ptr<Call> &call, unsigned leg_index,
+                const Payload &response, Status status);
 
-    /** Start a hedged call: first leg plus the armed hedge timer. */
-    void sendHedged(std::shared_ptr<HedgedCall> call);
+    /** Retry ladder: retry the failed attempt or deliver the outcome. */
+    void finishAttempt(const std::shared_ptr<Call> &call,
+                       unsigned attempt_no, const Payload &response,
+                       Status status);
 
-    /** Transport + submit for one leg of a hedged call. */
-    void launchLeg(std::shared_ptr<HedgedCall> call);
-
-    /** Leg settled (response or leg timeout); race resolution. */
-    void finishLeg(std::shared_ptr<HedgedCall> call, unsigned leg_index,
+    /** Hedged edge: the first Ok leg wins and cancels the others. */
+    void finishLeg(const std::shared_ptr<Call> &call, unsigned leg_index,
                    const Payload &response, Status status);
 
     /** Arm (or re-arm) the hedge-delay timer of a hedged call. */
-    void armHedgeTimer(std::shared_ptr<HedgedCall> call);
+    void armHedgeTimer(const std::shared_ptr<Call> &call);
 
     /** Hedge delay for an edge: observed latency quantile once the
      *  edge has enough samples, else the policy's fixed delay. */
@@ -258,9 +262,9 @@ class Mesh
     double hedge_tokens_ = 0.0;
     HedgeStats hedge_stats_;
     /**
-     * Observed Ok-response latency per hedge-enabled edge
-     * ("client|service"), feeding the delay-quantile trigger. Only
-     * populated by hedged calls, so inactive runs never touch it.
+     * Observed Ok-response latency per edge hedged on a delay quantile
+     * ("client|service"), feeding that trigger. Edges with a fixed
+     * hedge delay never touch it.
      */
     std::map<std::string, QuantileHistogram> hedge_latency_;
     /** Trace sampling; only drawn from when tracing is on and the

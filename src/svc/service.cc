@@ -534,8 +534,6 @@ Service::submit(Envelope envelope)
         *envelope.pickedReplica = picked;
     if (picked < 0) {
         ++resilience_counters_.noReplica;
-        op_stats_[envelope.op]
-            .statusCounts[statusIndex(Status::Unavailable)]++;
         rejectEnvelope(envelope, Status::Unavailable);
         return;
     }
@@ -545,8 +543,6 @@ Service::submit(Envelope envelope)
         // Blind round-robin routed onto a crashed replica: connection
         // refused, no worker consumed.
         ++resilience_counters_.downRejects;
-        op_stats_[envelope.op]
-            .statusCounts[statusIndex(Status::Unavailable)]++;
         rejectEnvelope(envelope, Status::Unavailable);
         return;
     }
@@ -557,8 +553,6 @@ Service::submit(Envelope envelope)
         // the mesh never retries a Rejected response.
         ++overload_counters_
               .admissionRejects[criticalityIndex(envelope.criticality)];
-        op_stats_[envelope.op]
-            .statusCounts[statusIndex(Status::Rejected)]++;
         rejectEnvelope(envelope, Status::Rejected);
         return;
     }
@@ -567,8 +561,6 @@ Service::submit(Envelope envelope)
         // Bounded queue: shed at the door. The request never occupies
         // a worker and costs the replica nothing but this bookkeeping.
         ++resilience_counters_.shed;
-        op_stats_[envelope.op]
-            .statusCounts[statusIndex(Status::Overload)]++;
         breakerRecord(r, false, probe);
         rejectEnvelope(envelope, Status::Overload);
         return;
@@ -590,37 +582,21 @@ Service::pickReplica(bool &probe, bool constrained, unsigned node,
     if (constrained && node >= rr_by_node_.size())
         rr_by_node_.resize(node + 1, 0);
     if (!rc.healthAwareBalancing && !rc.outlier.enabled) {
-        if (!constrained) {
-            // Blind round-robin over Active replicas. With every
-            // replica Active (no elasticity) the first iteration
-            // accepts, which is exactly the legacy rr_next_++ % n
-            // sequence. Down replicas stay eligible:
-            // connection-refused is modeled at submit. An avoided
-            // replica (hedge anti-affinity) yields to any other
-            // Active one but still serves as the last resort.
-            int fallback = -1;
-            for (unsigned i = 0; i < n; ++i) {
-                const unsigned r = rr_next_++ % n;
-                if (replicas_[r].state != ReplicaState::Active)
-                    continue;
-                if (static_cast<int>(r) == avoid) {
-                    fallback = static_cast<int>(r);
-                    continue;
-                }
-                return static_cast<int>(r);
-            }
-            return fallback;
-        }
-        // Node-constrained blind round-robin: the message was
-        // delivered to one machine, so only that machine's replicas
-        // may serve it. Each machine rotates independently.
-        unsigned &rr = rr_by_node_[node];
+        // Blind round-robin over Active replicas, on the machine the
+        // message was delivered to when node-constrained (each machine
+        // rotates independently). With every replica Active (no
+        // elasticity) the first iteration accepts, which is exactly
+        // the legacy rr_next_++ % n sequence. Down replicas stay
+        // eligible: connection-refused is modeled at submit. An
+        // avoided replica (hedge anti-affinity) yields to any other
+        // Active one but still serves as the last resort.
+        unsigned &rr = constrained ? rr_by_node_[node] : rr_next_;
         int fallback = -1;
         for (unsigned i = 0; i < n; ++i) {
             const unsigned r = rr++ % n;
             const Replica &rep = replicas_[r];
             if (rep.state != ReplicaState::Active ||
-                rep.clusterNode != want)
+                (constrained && rep.clusterNode != want))
                 continue;
             if (static_cast<int>(r) == avoid) {
                 fallback = static_cast<int>(r);
@@ -881,6 +857,7 @@ Service::breakerRecord(unsigned replica, bool ok, bool probe)
 void
 Service::rejectEnvelope(Envelope &envelope, Status status)
 {
+    op_stats_[envelope.op].statusCounts[statusIndex(status)]++;
     if (envelope.trace) {
         // The request dies here without a worker: dispatched stays 0,
         // so the analyzer books its whole residency as shed time.
@@ -997,8 +974,6 @@ Service::pump(unsigned replica)
             // The caller has already given up on this request; don't
             // waste a worker on it.
             ++resilience_counters_.deadlineDrops;
-            op_stats_[next.op]
-                .statusCounts[statusIndex(Status::Timeout)]++;
             breakerRecord(replica, false, next.probe);
             limiterObserve(replica,
                            static_cast<double>(now - next.arrived), true);
@@ -1024,8 +999,6 @@ Service::pump(unsigned replica)
             const Tick sojourn = now - next.arrived;
             if (codelShouldDrop(rep.codel, cd, sojourn, now)) {
                 ++overload_counters_.codelDrops;
-                op_stats_[next.op]
-                    .statusCounts[statusIndex(Status::Rejected)]++;
                 limiterObserve(replica, static_cast<double>(sojourn),
                                true);
                 rejectEnvelope(next, Status::Rejected);
@@ -1128,11 +1101,8 @@ Service::setReplicaDown(unsigned replica, bool down)
         // is modeled).
         std::deque<Envelope> doomed;
         doomed.swap(rep.queue);
-        for (Envelope &e : doomed) {
-            op_stats_[e.op]
-                .statusCounts[statusIndex(Status::Unavailable)]++;
+        for (Envelope &e : doomed)
             rejectEnvelope(e, Status::Unavailable);
-        }
     }
     for (const auto &observer : availability_observers_)
         observer(replica, down);

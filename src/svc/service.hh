@@ -572,7 +572,8 @@ class Service
     /** Record a request outcome against the replica's breaker. */
     void breakerRecord(unsigned replica, bool ok, bool probe);
 
-    /** Respond to an envelope with a failure status (no worker). */
+    /** Respond to an envelope with a failure status (no worker) and
+     *  count that status against its op. */
     void rejectEnvelope(Envelope &envelope, Status status);
 
     /** True when the replica has an idle worker. */
