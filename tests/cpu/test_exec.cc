@@ -248,7 +248,7 @@ TEST_F(ExecTest, FrequencyDropsWithActiveCores)
 
     std::vector<ExecContext *> all;
     for (unsigned i = 0; i < 64; ++i) {
-        auto *c = makeCtx("t" + std::to_string(i));
+        auto *c = makeCtx(std::string("t").append(std::to_string(i)));
         give(c, small_, 1e12);
         engine_.startRun(*c, i);
         all.push_back(c);
@@ -559,7 +559,7 @@ TEST(ExecSharing, OccupancyOrderDoesNotChangeRates)
     auto build = [&](World &w) {
         for (std::size_t i = 0; i < final_cpus.size(); ++i) {
             w.ctxs.push_back(std::make_unique<ExecContext>(
-                "t" + std::to_string(i), 0));
+                std::string("t").append(std::to_string(i)), 0));
             w.engine.setWork(*w.ctxs.back(),
                              palette[final_cpus[i].first], 1e12, [] {});
         }

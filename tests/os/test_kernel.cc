@@ -466,8 +466,8 @@ TEST_P(KernelProperty, AllWorkCompletesWithinAffinity)
         const CpuId hi = static_cast<CpuId>(
             rng.uniformInt(lo, machine.numCpus() - 1));
         const CpuMask mask = CpuMask::range(lo, hi);
-        jobs.push_back(
-            Job{kernel.createThread("p" + std::to_string(i), mask), mask});
+        const std::string name = std::string("p").append(std::to_string(i));
+        jobs.push_back(Job{kernel.createThread(name, mask), mask});
     }
 
     std::function<void(int)> submit = [&](int i) {
