@@ -21,24 +21,20 @@ std::string gOutDir;       // --out-dir override
 void
 printHeader(const std::string &artifact, const std::string &caption,
             const std::string &machine,
-            const core::ExperimentConfig *config)
+            const core::ExperimentConfig &config)
 {
     std::cout << "==============================================\n"
-              << artifact << ": " << caption << "\n";
-    if (config) {
-        std::cout << "machine: " << machine << "\n";
-        if (config->openLoopRps > 0.0) {
-            std::cout << "load: open-loop " << config->openLoopRps
-                      << " req/s, "
-                      << ticksToSeconds(config->measure)
-                      << "s window\n";
-        } else {
-            std::cout << "load: " << config->load.users
-                      << " closed-loop users, "
-                      << ticksToMillis(config->load.meanThink)
-                      << "ms think, " << ticksToSeconds(config->measure)
-                      << "s window\n";
-        }
+              << artifact << ": " << caption << "\n"
+              << "machine: " << machine << "\n";
+    if (config.openLoopRps > 0.0) {
+        std::cout << "load: open-loop " << config.openLoopRps
+                  << " req/s, " << ticksToSeconds(config.measure)
+                  << "s window\n";
+    } else if (config.load.users > 0) {
+        std::cout << "load: " << config.load.users
+                  << " closed-loop users, "
+                  << ticksToMillis(config.load.meanThink) << "ms think, "
+                  << ticksToSeconds(config.measure) << "s window\n";
     }
     std::cout << "==============================================\n";
 }
@@ -122,15 +118,7 @@ SeriesReporter::SeriesReporter(std::string artifact, std::string stem,
       caption_(std::move(caption))
 {
     machine_ = topo::Machine(reference.machine).describe();
-    printHeader(artifact_, caption_, machine_, &reference);
-}
-
-SeriesReporter::SeriesReporter(std::string artifact, std::string stem,
-                               std::string caption)
-    : artifact_(std::move(artifact)), stem_(std::move(stem)),
-      caption_(std::move(caption))
-{
-    printHeader(artifact_, caption_, machine_, nullptr);
+    printHeader(artifact_, caption_, machine_, reference);
 }
 
 void

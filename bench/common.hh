@@ -79,14 +79,14 @@ std::string outDir();
 class SeriesReporter
 {
   public:
-    /** Artifact with a reference config: prints the full banner. */
+    /**
+     * The banner names the reference config's machine and its load; a
+     * reference without users or an open-loop rate prints no load
+     * line.
+     */
     SeriesReporter(std::string artifact, std::string stem,
                    std::string caption,
                    const core::ExperimentConfig &reference);
-
-    /** Artifact without a single reference config (e.g. FIG-3). */
-    SeriesReporter(std::string artifact, std::string stem,
-                   std::string caption);
 
     /** Record one labeled point for the JSON series. */
     void add(const std::string &label, const core::RunResult &result);

@@ -104,10 +104,16 @@ main(int argc, char **argv)
     };
     const std::vector<unsigned> core_counts = {2, 4, 8, 16, 32};
 
+    // The reference names the simulated machine; the load is each
+    // point's own (64 zero-think clients per core), so it has none.
+    core::ExperimentConfig reference;
+    reference.machine = topo::rome128();
+    reference.load.users = 0;
     benchx::SeriesReporter rep(
         "FIG-3", "fig03_service_scaling",
         "individual service scale-up (ops/s, service pinned to N "
-        "cores, SMT on)");
+        "cores, SMT on)",
+        reference);
 
     // Sweep points with a custom runner: each drives one leaf op in
     // its own isolated simulation, so they parallelize like any

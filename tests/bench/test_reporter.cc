@@ -37,7 +37,8 @@ TEST(BenchReporter, EmitsParsableJsonWithPointsAndTables)
 
     {
         benchx::SeriesReporter rep("TEST-1", "test_reporter",
-                                   "reporter round trip");
+                                   "reporter round trip",
+                                   core::ExperimentConfig{});
         core::RunResult a;
         a.throughputRps = 1234.5;
         a.latency.p99Ms = 42.0;
@@ -65,6 +66,9 @@ TEST(BenchReporter, EmitsParsableJsonWithPointsAndTables)
     ASSERT_TRUE(v.isObject());
     EXPECT_EQ(v.at("artifact").stringValue, "TEST-1");
     EXPECT_EQ(v.at("caption").stringValue, "reporter round trip");
+    // Every artifact names the machine it simulated (json_check
+    // rejects an empty one).
+    EXPECT_FALSE(v.at("machine").stringValue.empty());
     ASSERT_TRUE(v.at("jobs").isNumber());
     EXPECT_GE(v.at("jobs").numberValue, 1.0);
 
@@ -113,7 +117,8 @@ TEST(BenchReporter, FailedPointsCarryErrorField)
 
     {
         benchx::SeriesReporter rep("TEST-2", "test_reporter_err",
-                                   "error round trip");
+                                   "error round trip",
+                                   core::ExperimentConfig{});
         core::RunResult ok;
         ok.throughputRps = 10.0;
         rep.add("good", ok);
