@@ -251,7 +251,8 @@ TEST(ResultCheck, AcceptsEveryGolden)
          {"fig01_closed_loop.json", "fig05_placement.json",
           "fig12_resilience.json", "fig13_elastic.json",
           "fig14_overload.json", "fig15_trace.json", "fig17_datatier.json",
-          "fig19_socialnet.json", "traced_retries.json"}) {
+          "fig19_socialnet.json", "overload_shedding.json",
+          "traced_retries.json"}) {
         std::ifstream in(std::string(MICROSCALE_GOLDEN_DIR) + "/" + name);
         ASSERT_TRUE(in.good()) << name;
         std::ostringstream text;

@@ -6,9 +6,10 @@
  * its RunResult JSON (core::writeJson) must stay byte-identical to the
  * captured golden produced by the pre-refactor engine. FIG-13 pins the
  * elastic runner and FIG-19 the socialnet runner; TracedRetries pins
- * the mesh's retry ladder with spans recorded. EveryBlockWriter
- * pins the writer itself on a synthetic result with every gated
- * block active. These pin the
+ * the mesh's retry ladder with spans recorded; OverloadShedding pins
+ * FIG-14's config past capacity, where admission, CoDel and brownout
+ * act. EveryBlockWriter pins the writer itself on a synthetic result
+ * with every gated block active. These pin the
  * event-core refactor: any change to event ordering, RNG draw
  * sequences or histogram accumulation in the default (per-user) mode
  * shows up as a diff here.
@@ -132,6 +133,28 @@ TEST(Golden, Fig14OverloadOpenLoop)
     c.overload = teastore::overloadAwarePolicy();
     const RunResult r = runExperiment(c);
     checkGolden("fig14_overload.json", resultJson(r));
+}
+
+TEST(Golden, OverloadShedding)
+{
+    // Fig14's config past what this slice serves (400 req/s sheds
+    // nothing): admission rejects critical and normal requests, CoDel
+    // drops and serves newest-first, and the brownout dimmer skips
+    // optional legs. The sheddable tier is never shed, here as at
+    // every fast-mode FIG-14 point.
+    ExperimentConfig c = baseConfig();
+    c.openLoopRps = 900.0;
+    c.resilience = teastore::resilientPolicy();
+    c.app.degradedFallbacks = true;
+    c.overload = teastore::overloadAwarePolicy();
+    const RunResult r = runExperiment(c);
+    EXPECT_GT(r.overload.shedCritical, 0u);
+    EXPECT_GT(r.overload.shedNormal, 0u);
+    EXPECT_GT(r.overload.codelDrops, 0u);
+    EXPECT_GT(r.overload.lifoDequeues, 0u);
+    EXPECT_GT(r.overload.rejectedTotal, 0u);
+    EXPECT_GT(r.overload.brownoutSkips, 0u);
+    checkGolden("overload_shedding.json", resultJson(r));
 }
 
 TEST(Golden, Fig15TraceAttribution)
