@@ -163,10 +163,11 @@ main(int argc, char **argv)
     }
 
     // (c) The Chrome export round-trips: the file parses as JSON and
-    // carries a non-empty traceEvents array.
+    // carries a non-empty traceEvents array. Its name stays outside
+    // the BENCH_*.json pattern, which holds result documents only.
     {
         const std::string path =
-            benchx::outDir() + "/BENCH_fig15_trace.json";
+            benchx::outDir() + "/fig15_trace.chrome.json";
         const core::TraceSummary &tr = runs[1].result.trace;
         bool pass = tr.store != nullptr &&
                     trace::writeChromeTraceFile(path, *tr.store);
